@@ -157,6 +157,10 @@ pub struct FleetState {
     pub(crate) st_x: Vec<f32>,
     pub(crate) st_y: Vec<f32>,
     pub(crate) st_range: Vec<f32>,
+    /// Flat observation-grid cell of each PoI (PoIs never move).
+    pub(crate) poi_cell: Vec<u32>,
+    /// Observation-grid cells overlapped by an obstacle (static layer).
+    pub(crate) obstacle_cells: Vec<u32>,
     grid: PoiGrid,
     /// Obstacle set shared with pooled phase-A jobs without per-step copies.
     obstacles: Arc<Vec<Rect>>,
@@ -234,6 +238,13 @@ impl FleetState {
         fill(&mut self.st_y, stations.iter().map(|s| s.pos.y));
         fill(&mut self.st_range, stations.iter().map(|s| s.range));
         self.grid.build(cfg, &self.poi_x, &self.poi_y);
+        crate::state::static_cells(
+            cfg,
+            &self.poi_x,
+            &self.poi_y,
+            &mut self.poi_cell,
+            &mut self.obstacle_cells,
+        );
         self.obstacles = Arc::new(cfg.obstacles.clone());
     }
 

@@ -66,32 +66,51 @@ pub fn encode_into(env: &CrowdsensingEnv, out: &mut Vec<f32>) {
         };
     }
 
-    // Obstacles first, then stations and PoIs layered on top. A cell is
-    // marked when any obstacle overlaps it with positive area — thin walls
-    // (the corner-room's 0.5-wide walls) must be visible to the policy even
-    // though they never contain a cell center.
-    for cy in 0..cfg.grid {
-        for cx in 0..cfg.grid {
-            let (x0, y0) = (cx as f32 * cfg.cell_x(), cy as f32 * cfg.cell_y());
-            let (x1, y1) = (x0 + cfg.cell_x(), y0 + cfg.cell_y());
-            if cfg.obstacles.iter().any(|r| r.overlaps_box(x0, y0, x1, y1)) {
-                ch_map[idx(cfg, cx, cy)] = OBSTACLE_MARK;
-            }
-        }
+    // Obstacles first, then PoIs and stations layered on top. The static
+    // layers (obstacle cells, each PoI's cell) are cached by
+    // `FleetState::load`; PoI sums run over the columns in index order.
+    let fleet = env.fleet();
+    for &c in &fleet.obstacle_cells {
+        ch_map[c as usize] = OBSTACLE_MARK;
     }
-    for p in env.pois() {
-        let (cx, cy) = cell_of(cfg, &p.pos);
-        ch_map[idx(cfg, cx, cy)] += p.data;
+    let horizon = cfg.horizon as f32;
+    for ((&c, &data), &access) in fleet.poi_cell.iter().zip(&fleet.poi_data).zip(&fleet.poi_access)
+    {
+        ch_map[c as usize] += data;
+        ch_access[c as usize] += access as f32 / horizon;
     }
     for s in env.stations() {
         let (cx, cy) = cell_of(cfg, &s.pos);
         ch_map[idx(cfg, cx, cy)] += STATION_MARK;
     }
+}
 
-    let horizon = cfg.horizon as f32;
-    for p in env.pois() {
-        let (cx, cy) = cell_of(cfg, &p.pos);
-        ch_access[idx(cfg, cx, cy)] += p.access_time as f32 / horizon;
+/// Rebuilds the static encoder layers of a scenario into reusable buffers:
+/// the flat map-channel cell of every PoI (`cell_of` of its position) and
+/// every cell an obstacle overlaps with positive area — thin walls (the
+/// corner-room's 0.5-wide walls) must be visible to the policy even though
+/// they never contain a cell center.
+pub(crate) fn static_cells(
+    cfg: &EnvConfig,
+    poi_x: &[f32],
+    poi_y: &[f32],
+    poi_cell: &mut Vec<u32>,
+    obstacle_cells: &mut Vec<u32>,
+) {
+    poi_cell.clear();
+    poi_cell.extend(poi_x.iter().zip(poi_y).map(|(&x, &y)| {
+        let (cx, cy) = cell_of(cfg, &Point::new(x, y));
+        idx(cfg, cx, cy) as u32
+    }));
+    obstacle_cells.clear();
+    for cy in 0..cfg.grid {
+        for cx in 0..cfg.grid {
+            let (x0, y0) = (cx as f32 * cfg.cell_x(), cy as f32 * cfg.cell_y());
+            let (x1, y1) = (x0 + cfg.cell_x(), y0 + cfg.cell_y());
+            if cfg.obstacles.iter().any(|r| r.overlaps_box(x0, y0, x1, y1)) {
+                obstacle_cells.push(idx(cfg, cx, cy) as u32);
+            }
+        }
     }
 }
 

@@ -232,11 +232,39 @@ impl Graph {
         assert_eq!(bv.shape(), &[xv.shape()[1]], "bias width mismatch");
         let cols = xv.shape()[1];
         let mut out = xv.clone();
-        for (i, o) in out.data_mut().iter_mut().enumerate() {
-            *o += bv.data()[i % cols];
+        if cols > 0 {
+            for row in out.data_mut().chunks_exact_mut(cols) {
+                for (o, &bias) in row.iter_mut().zip(bv.data()) {
+                    *o += bias;
+                }
+            }
         }
         let ng = self.any_needs_grad(&[x, b]);
         self.push(out, &[x, b], Op::AddRowBroadcast, None, ng)
+    }
+
+    /// Every row of `x:[B, F]` plus every row of `table:[W, F]` →
+    /// `[B·W, F]`, row `e·W + w` holding `x[e] + table[w]` (env-major,
+    /// worker-minor). One pass writes the joined rows; no gathered copy of
+    /// either operand is materialized.
+    pub fn broadcast_add_rows(&mut self, x: NodeId, table: NodeId) -> NodeId {
+        let xv = self.value(x);
+        let tv = self.value(table);
+        assert_eq!(xv.ndim(), 2, "broadcast_add_rows lhs must be rank 2");
+        assert_eq!(tv.ndim(), 2, "broadcast_add_rows table must be rank 2");
+        assert_eq!(xv.shape()[1], tv.shape()[1], "broadcast_add_rows width mismatch");
+        let (b, w, f) = (xv.shape()[0], tv.shape()[0], xv.shape()[1]);
+        let mut out = arena::take_f32(b * w * f);
+        if f > 0 {
+            for xr in xv.data().chunks_exact(f) {
+                for tr in tv.data().chunks_exact(f) {
+                    out.extend(xr.iter().zip(tr).map(|(a, t)| a + t));
+                }
+            }
+        }
+        let v = Tensor::from_vec(&[b * w, f], out);
+        let ng = self.any_needs_grad(&[x, table]);
+        self.push(v, &[x, table], Op::BroadcastAddRows, None, ng)
     }
 
     /// `c * a` for a known scalar.
@@ -384,6 +412,24 @@ impl Graph {
         let v = Tensor::from_vec(&[rows, ca + cb], out);
         let ng = self.any_needs_grad(&[a, b]);
         self.push(v, &[a, b], Op::ConcatCols { left_cols: ca }, None, ng)
+    }
+
+    /// Columns `[start, start + len)` of a rank-2 tensor → `[rows, len]`.
+    pub fn slice_cols(&mut self, a: NodeId, start: usize, len: usize) -> NodeId {
+        let av = self.value(a);
+        assert_eq!(av.ndim(), 2, "slice_cols requires rank 2");
+        let cols = av.shape()[1];
+        assert!(start + len <= cols, "slice_cols [{start}, {}) out of {cols} columns", start + len);
+        let rows = av.shape()[0];
+        let mut out = arena::take_f32(rows * len);
+        if cols > 0 {
+            for row in av.data().chunks_exact(cols) {
+                out.extend_from_slice(&row[start..start + len]);
+            }
+        }
+        let v = Tensor::from_vec(&[rows, len], out);
+        let ng = self.any_needs_grad(&[a]);
+        self.push(v, &[a], Op::SliceCols { start }, None, ng)
     }
 
     // ---- distribution ops ---------------------------------------------------
@@ -543,11 +589,42 @@ impl Graph {
                     let b = node.parents[1];
                     let cols = self.value(x).shape()[1];
                     let mut gb = Tensor::zeros(&[cols]);
-                    for (j, &g) in gout.data().iter().enumerate() {
-                        gb.data_mut()[j % cols] += g;
+                    if cols > 0 {
+                        for row in gout.data().chunks_exact(cols) {
+                            for (acc, &g) in gb.data_mut().iter_mut().zip(row) {
+                                *acc += g;
+                            }
+                        }
                     }
                     send(&mut grads, x, gout);
                     send(&mut grads, b, gb);
+                }
+                Op::BroadcastAddRows => {
+                    // Each input row's gradient is the sum of the output
+                    // rows it fed, accumulated in ascending output-row
+                    // order from zero — the same chains as gather_rows'
+                    // scatter-add.
+                    let x = node.parents[0];
+                    let table = node.parents[1];
+                    let (b, f) = (self.value(x).shape()[0], self.value(x).shape()[1]);
+                    let w = self.value(table).shape()[0];
+                    let mut gx = Tensor::zeros(&[b, f]);
+                    let mut gt = Tensor::zeros(&[w, f]);
+                    if f > 0 && w > 0 {
+                        let blocks = gout.data().chunks_exact(w * f);
+                        for (gxr, block) in gx.data_mut().chunks_exact_mut(f).zip(blocks) {
+                            for (gtr, gr) in
+                                gt.data_mut().chunks_exact_mut(f).zip(block.chunks_exact(f))
+                            {
+                                for ((ax, at), &g) in gxr.iter_mut().zip(gtr.iter_mut()).zip(gr) {
+                                    *ax += g;
+                                    *at += g;
+                                }
+                            }
+                        }
+                    }
+                    send(&mut grads, x, gx);
+                    send(&mut grads, table, gt);
                 }
                 Op::Scale(c) => {
                     let c = *c;
@@ -673,6 +750,20 @@ impl Graph {
                     }
                     send(&mut grads, a, ga);
                     send(&mut grads, b, gb);
+                }
+                Op::SliceCols { start } => {
+                    let p = node.parents[0];
+                    let (rows, cols) = (self.value(p).shape()[0], self.value(p).shape()[1]);
+                    let (start, len) = (*start, gout.shape()[1]);
+                    let mut gp = Tensor::zeros(&[rows, cols]);
+                    if len > 0 {
+                        for (gr, g) in
+                            gp.data_mut().chunks_exact_mut(cols).zip(gout.data().chunks_exact(len))
+                        {
+                            gr[start..start + len].copy_from_slice(g);
+                        }
+                    }
+                    send(&mut grads, p, gp);
                 }
                 Op::Softmax => {
                     send(&mut grads, node.parents[0], softmax_backward(&node.value, &gout));
@@ -886,6 +977,24 @@ mod tests {
                 let sq = g.square(x);
                 let c = g.concat_cols(x, sq);
                 let m = g.mean_rows(c);
+                g.sum_all(m)
+            },
+            &x0,
+            1e-2,
+        );
+    }
+
+    #[test]
+    fn grad_broadcast_add_rows_and_slice_cols() {
+        let x0 = Tensor::from_vec(&[2, 3], (0..6).map(|i| (i as f32 * 0.37).sin()).collect());
+        let table = Tensor::from_vec(&[3, 3], (0..9).map(|i| (i as f32 * 0.61).cos()).collect());
+        check(
+            &move |g, x| {
+                let t = g.leaf(table.clone());
+                let j = g.broadcast_add_rows(x, t);
+                let left = g.slice_cols(j, 0, 2);
+                let right = g.slice_cols(j, 1, 2);
+                let m = g.mul(left, right);
                 g.sum_all(m)
             },
             &x0,

@@ -25,6 +25,9 @@ pub enum Op {
     Neg,
     /// `x[rows, cols] + b[cols]`, broadcasting `b` over rows.
     AddRowBroadcast,
+    /// `x[B, F]` joined with `table[W, F]` into `[B·W, F]`: row `e·W + w`
+    /// is `x[e] + table[w]`.
+    BroadcastAddRows,
     /// `c * a` for a compile-time-known scalar.
     Scale(f32),
     /// `a + c` for a compile-time-known scalar.
@@ -71,6 +74,11 @@ pub enum Op {
         /// Width of the first (left) parent.
         left_cols: usize,
     },
+    /// A contiguous column range of a rank-2 tensor.
+    SliceCols {
+        /// First column taken from the parent.
+        start: usize,
+    },
     /// Row-wise softmax of a rank-2 tensor.
     Softmax,
     /// Row-wise log-softmax of a rank-2 tensor.
@@ -111,6 +119,7 @@ impl Op {
             Op::Mul => "mul",
             Op::Neg => "neg",
             Op::AddRowBroadcast => "add_row_broadcast",
+            Op::BroadcastAddRows => "broadcast_add_rows",
             Op::Scale(_) => "scale",
             Op::AddScalar(_) => "add_scalar",
             Op::MatMul => "matmul",
@@ -128,6 +137,7 @@ impl Op {
             Op::MeanRows => "mean_rows",
             Op::Reshape => "reshape",
             Op::ConcatCols { .. } => "concat_cols",
+            Op::SliceCols { .. } => "slice_cols",
             Op::Softmax => "softmax",
             Op::LogSoftmax => "log_softmax",
             Op::PickColumn { .. } => "pick_column",

@@ -183,9 +183,13 @@ impl ActorCritic {
 /// (`F → W·9` and `F → W·2` matrices), so parameters and head FLOPs grow
 /// linearly with the fleet and a 1000-worker head is a 128×9000 GEMM per
 /// batch row. Here each worker reuses **shared** `F → 9` / `F → 2` heads
-/// applied to `features[e] + worker_embed[w]` — one `[B·W, F]` GEMM whose
-/// weight cost is independent of `W`; worker identity enters through a
-/// learned `[W, F]` embedding table instead of dedicated head columns.
+/// applied to `relu(features[e] + worker_embed[w])`: one
+/// [`Graph::broadcast_add_rows`] pass builds the `[B·W, F]` joined rows,
+/// and both heads run as a single `[B·W, F] × [F, 11]` GEMM (weights
+/// concatenated column-wise, logits split back with
+/// [`Graph::slice_cols`]) whose weight cost is independent of `W`. Worker
+/// identity enters through a learned `[W, F]` embedding table instead of
+/// dedicated head columns.
 ///
 /// Outputs have the exact layout of [`ActorCritic`] (`[B·W, 9]` /
 /// `[B·W, 2]` in env-major worker-minor row order), so the sampling,
@@ -278,7 +282,6 @@ impl FleetActorCritic {
     /// use the same `[B·W, A]` row layout as [`ActorCritic::forward`].
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, states: NodeId) -> NetOutputs {
         let b = g.shape(states)[0];
-        let w = self.cfg.num_workers;
         let [d1, d2, d3] = self.dims;
 
         let x = self.conv1.forward(g, store, states);
@@ -301,25 +304,31 @@ impl FleetActorCritic {
         let features = self.fc.forward(g, store, x);
         let features = g.relu(features);
 
-        // Factor over workers: broadcast each env's features to its W rows
-        // and add the per-worker embedding — `[B·W, F]` in env-major
-        // worker-minor order, matching the joint net's row layout.
-        let mut feat_idx = vc_nn::arena::take_usize(b * w);
-        let mut embed_idx = vc_nn::arena::take_usize(b * w);
-        for e in 0..b {
-            for wi in 0..w {
-                feat_idx.push(e);
-                embed_idx.push(wi);
-            }
-        }
-        let feat_rep = g.gather_rows(features, feat_idx);
+        // Factor over workers: join each env's features with every
+        // worker's embedding — `[B·W, F]` in env-major worker-minor order,
+        // matching the joint net's row layout.
         let table = g.param(store, self.worker_embed);
-        let embed_rep = g.gather_rows(table, embed_idx);
-        let joined = g.add(feat_rep, embed_rep);
+        let joined = g.broadcast_add_rows(features, table);
         let joined = g.relu(joined);
 
-        let move_logits = self.move_head.forward(g, store, joined);
-        let charge_logits = self.charge_head.forward(g, store, joined);
+        // Both factored heads as one `[B·W, F] × [F, 9 + 2]` GEMM, split
+        // after the bias add: the joined rows are packed once, and each
+        // logit is the same ascending-F chain as in a separate head GEMM.
+        let (move_w, move_b) = self.move_head.params();
+        let (charge_w, charge_b) = self.charge_head.params();
+        let move_w = g.param(store, move_w);
+        let charge_w = g.param(store, charge_w);
+        let heads_w = g.concat_cols(move_w, charge_w);
+        let move_b = g.param(store, move_b);
+        let move_b = g.reshape(move_b, &[1, MOVES_PER_WORKER]);
+        let charge_b = g.param(store, charge_b);
+        let charge_b = g.reshape(charge_b, &[1, CHARGE_CHOICES]);
+        let heads_b = g.concat_cols(move_b, charge_b);
+        let heads_b = g.reshape(heads_b, &[MOVES_PER_WORKER + CHARGE_CHOICES]);
+        let heads = g.matmul(joined, heads_w);
+        let heads = g.add_row_broadcast(heads, heads_b);
+        let move_logits = g.slice_cols(heads, 0, MOVES_PER_WORKER);
+        let charge_logits = g.slice_cols(heads, MOVES_PER_WORKER, CHARGE_CHOICES);
         let value = self.value_head.forward(g, store, features);
 
         NetOutputs { move_logits, charge_logits, value, features }
