@@ -157,30 +157,6 @@ fn bench_matmuls(iters: u64, out: &mut Vec<Rec>) {
                 flops,
             });
         }
-        if (m, k, n) == (256, 256, 256) {
-            // Old dispatcher baseline: scoped threads spawned per call. The
-            // gap between this and `matmul_blocked` at the same thread count
-            // is exactly what the persistent pool buys.
-            let ns = time_ns_reps(iters, REPS, || {
-                gemm::gemm_scoped(
-                    std::hint::black_box(&a),
-                    std::hint::black_box(&b),
-                    &mut c,
-                    m,
-                    k,
-                    n,
-                    2,
-                );
-            });
-            out.push(Rec {
-                op: "matmul_scoped",
-                shape: shape.clone(),
-                threads: 2,
-                iters,
-                ns_per_iter: ns,
-                flops,
-            });
-        }
     }
 }
 
@@ -436,7 +412,7 @@ fn bench_fleet(iters: u64, rollout_iters: u64, out: &mut Vec<Rec>) {
         if env.done() {
             env.reset();
         }
-        let sampled = sample_action_fleet(&net, &store, &env, opts, &mut rng);
+        let sampled = sample_action(&net, &store, &env, opts, &mut rng);
         env.step(std::hint::black_box(&sampled.actions));
     });
     out.push(Rec {

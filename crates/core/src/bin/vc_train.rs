@@ -24,8 +24,13 @@
 //!   enables telemetry when `--telemetry-dir` is absent; no JSONL stream
 //!   in that case).
 //!
-//! Fault tolerance & resume:
+//! Checkpoints, fault tolerance & resume — every checkpoint is one durable
+//! v2 file (DESIGN.md §9):
 //!
+//! * `--save-ckpt PATH` writes the final training state at exit; the file
+//!   is accepted by `--resume`, `--load-ckpt` and `vc_serve --checkpoint`.
+//! * `--load-ckpt PATH` warm-starts: it copies only the policy parameters
+//!   of a v2 checkpoint into the trainer built from the command line.
 //! * `--ckpt-every N` writes a durable v2 checkpoint (full training state:
 //!   parameters, Adam moments, RNG streams, counters, config) every N
 //!   episodes to `<base>.ep<E>`, where `<base>` is the `--save-ckpt` path
@@ -243,7 +248,7 @@ fn main() {
             .unwrap_or_else(|e| fail(&format!("cannot read checkpoint {path}: {e}")));
         trainer
             .restore(&data)
-            .unwrap_or_else(|e| fail(&format!("cannot restore checkpoint {path}: {e:?}")));
+            .unwrap_or_else(|e| fail(&format!("cannot restore checkpoint {path}: {e}")));
         println!("restored policy from {path} (pass --episodes 0 to evaluate only)");
     }
     let ckpt_base = save_ckpt.clone().unwrap_or_else(|| "vc-train.ckpt".to_owned());
@@ -311,9 +316,12 @@ fn main() {
     if let Some(path) = save_ckpt {
         // Atomic write: a crash here can never truncate an existing
         // checkpoint.
-        vc_nn::serialize::write_checkpoint_file(std::path::Path::new(&path), &trainer.checkpoint())
+        let bytes = trainer
+            .checkpoint_v2()
+            .unwrap_or_else(|e| fail(&format!("cannot snapshot training state: {e}")));
+        vc_nn::serialize::write_checkpoint_file(std::path::Path::new(&path), &bytes)
             .unwrap_or_else(|e| fail(&format!("cannot write checkpoint {path}: {e}")));
-        println!("checkpoint -> {path}");
+        println!("checkpoint (v2, resumable) -> {path}");
     }
     if let Some(path) = save_csv {
         drl_cews::training_log::write_csv(trainer.history(), std::path::Path::new(&path))

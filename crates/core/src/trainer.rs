@@ -760,16 +760,36 @@ impl Trainer {
         (0..episodes).map(|_| self.train_episode()).collect()
     }
 
-    /// Serializes the global policy parameters (Section VI-D's periodic
-    /// checkpoint).
-    pub fn checkpoint(&self) -> bytes::Bytes {
-        vc_nn::serialize::save_checkpoint(&self.store)
+    /// Warm-starts the global policy from a checkpoint written by
+    /// [`Self::checkpoint_v2`]: copies only the policy parameters, leaving
+    /// optimizer moments, RNG streams, counters and the curiosity model as
+    /// they are (`vc_train --load-ckpt`). [`Self::restore_v2`] restores the
+    /// full training state instead.
+    ///
+    /// # Errors
+    ///
+    /// [`TrainerError::Checkpoint`] on a corrupt checkpoint or one whose
+    /// policy layout doesn't match this trainer; the parameters are left
+    /// untouched.
+    pub fn restore(&mut self, data: &[u8]) -> Result<(), TrainerError> {
+        let ck = vc_nn::serialize::load_checkpoint_v2(data)?;
+        self.load_policy(&ck.policy)
     }
 
-    /// Restores global policy parameters from a checkpoint.
-    pub fn restore(&mut self, data: &[u8]) -> Result<(), vc_nn::serialize::CheckpointError> {
-        let restored = vc_nn::serialize::load_checkpoint(data)?;
-        self.store.copy_values_from(&restored);
+    /// Copies `policy` into the global store after checking that it has
+    /// this trainer's parameter layout.
+    fn load_policy(&mut self, policy: &ParamStore) -> Result<(), TrainerError> {
+        let same_layout = policy.len() == self.store.len()
+            && policy
+                .ids()
+                .zip(self.store.ids())
+                .all(|(a, b)| policy.value(a).shape() == self.store.value(b).shape());
+        if !same_layout {
+            return Err(TrainerError::Checkpoint(CheckpointError::Inconsistent(
+                "policy shape doesn't match this trainer",
+            )));
+        }
+        self.store.copy_values_from(policy);
         Ok(())
     }
 
@@ -834,12 +854,7 @@ impl Trainer {
     /// when the RNG streams can't be delivered to the employees.
     pub fn restore_v2(&mut self, data: &[u8]) -> Result<(), TrainerError> {
         let ck = vc_nn::serialize::load_checkpoint_v2(data)?;
-        if ck.policy.num_scalars() != self.store.num_scalars() {
-            return Err(TrainerError::Checkpoint(CheckpointError::Inconsistent(
-                "policy shape doesn't match this trainer",
-            )));
-        }
-        self.store.copy_values_from(&ck.policy);
+        self.load_policy(&ck.policy)?;
         self.ppo_opt
             .restore_state(&self.store, ck.ppo_opt.t, &ck.ppo_opt.m, &ck.ppo_opt.v)
             .map_err(|_| {
@@ -963,7 +978,7 @@ mod tests {
     fn checkpoint_roundtrip_restores_policy() {
         let mut t = tiny_trainer(CuriosityChoice::None, RewardMode::Dense, 2);
         t.train_episode().unwrap();
-        let ckpt = t.checkpoint();
+        let ckpt = t.checkpoint_v2().unwrap();
         let saved = t.store().flat_values();
         t.train_episode().unwrap(); // diverge
         assert_ne!(t.store().flat_values(), saved);

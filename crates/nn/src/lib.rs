@@ -80,8 +80,8 @@ pub mod prelude {
     pub use crate::optim::{Adam, LrSchedule, Optimizer, Sgd};
     pub use crate::param::{ParamId, ParamStore};
     pub use crate::serialize::{
-        load_checkpoint, load_checkpoint_v2, save_checkpoint, save_checkpoint_v2,
-        write_checkpoint_file, AdamState, CheckpointError, TrainCheckpoint,
+        load_checkpoint_v2, save_checkpoint_v2, write_checkpoint_file, AdamState, CheckpointError,
+        TrainCheckpoint,
     };
     pub use crate::tensor::Tensor;
 }

@@ -12,8 +12,6 @@
 //!   fallback elsewhere). Large problems fan out across the persistent
 //!   kernel pool ([`crate::ops::pool`]) on a 2-D grid of row-chunk ×
 //!   column-panel cells;
-//! * [`gemm_scoped`] — the retired per-call scoped-spawn dispatcher, kept
-//!   as a differential baseline for benches and equivalence tests;
 //! * [`gemm_nt`] / [`gemm_tn`] — `A·Bᵀ` and `Aᵀ·B` via a transpose pack
 //!   into a caller-provided scratch buffer (no per-call allocation when the
 //!   caller reuses the scratch across steps);
@@ -364,36 +362,6 @@ fn gemm_pooled(
     }
 }
 
-/// The retired scoped-spawn GEMM dispatcher: spawns fresh threads per call
-/// exactly as the PR 3 kernel did (no volume threshold — callers choose the
-/// fan-out, and each scoped worker packs its own operand copies). Kept
-/// purely as a differential baseline: the pooled-vs-scoped bench record
-/// quantifies what the pool + shared packing save, and the equivalence
-/// tests pin pooled output bitwise against this path.
-///
-/// # Panics
-///
-/// If a slice length disagrees with its shape.
-pub fn gemm_scoped(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    threads: usize,
-) {
-    assert_eq!(a.len(), m * k, "gemm lhs length");
-    assert_eq!(b.len(), k * n, "gemm rhs length");
-    assert_eq!(out.len(), m * n, "gemm out length");
-    let threads = threads.max(1).min(m.max(1));
-    if threads <= 1 {
-        gemm_rows(a, b, out, k, n);
-        return;
-    }
-    pool::run_scoped_rows(a, b, out, k, n, m.div_ceil(threads), gemm_rows);
-}
-
 /// `out = A·Bᵀ` with `A: [m,k]`, `B: [n,k]`, `out: [m,n]`. `B` is
 /// transpose-packed into `scratch` (resized as needed, reusable across
 /// calls) and the product runs through the blocked kernel, so accumulation
@@ -622,10 +590,7 @@ fn gemm_packed(
 /// rows of `out`. Packs both operands into thread-local arena scratch, then
 /// sweeps L2-sized `NC` column panels. Prior `out` contents are ignored —
 /// the first `k`-block pass overwrites every element before any later block
-/// reloads it, so callers need not (and do not) zero `out` first. This is
-/// also the per-chunk kernel of the retired scoped baseline, which is why
-/// it keeps the `fn(a, b, out, k, n)` shape [`pool::run_scoped_rows`]
-/// expects.
+/// reloads it, so callers need not (and do not) zero `out` first.
 fn gemm_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
     if n == 0 {
         return;
@@ -702,7 +667,7 @@ mod tests {
     fn pooled_dispatch_matches_naive_bitwise_above_threshold() {
         // 160³ volume (4.1 M) clears PAR_THRESHOLD, so threads ≥ 2 route
         // through the persistent pool; every thread count must agree with
-        // the reference bit-for-bit, and with the scoped baseline.
+        // the reference bit-for-bit.
         let (m, k, n) = (160usize, 160, 160);
         assert!(m * k * n >= PAR_THRESHOLD, "shape must exercise the pooled path");
         let a = lcg_fill(7, m * k);
@@ -713,9 +678,6 @@ mod tests {
             let mut got = vec![0.0; m * n];
             gemm(&a, &b, &mut got, m, k, n, threads);
             assert_eq!(got, want, "pooled threads={threads}");
-            let mut scoped = vec![0.0; m * n];
-            gemm_scoped(&a, &b, &mut scoped, m, k, n, threads);
-            assert_eq!(scoped, want, "scoped threads={threads}");
         }
     }
 

@@ -39,9 +39,7 @@
 //! contract itself is written down in `DESIGN.md` §13.
 //!
 //! This is the only module in the workspace allowed to create threads
-//! (enforced by `cargo xtask check`'s `no-raw-thread` lint);
-//! [`run_scoped_rows`] keeps the old scoped-spawn path alive behind that
-//! exemption as a differential baseline for benches and equivalence tests.
+//! (enforced by `cargo xtask check`'s `no-raw-thread` lint).
 
 use crate::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use crate::sync::{hint, thread, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
@@ -286,26 +284,6 @@ pub fn quiesce(deadline: std::time::Duration) -> bool {
             return s.queued_len() == 0;
         }
     }
-}
-
-/// The retired scoped-spawn row partitioner, kept as a differential
-/// baseline: spawns one scoped thread per row chunk exactly as the PR 3
-/// kernel did. Benches compare pooled vs scoped dispatch with this, and the
-/// equivalence tests pin bit-identical output between the two paths.
-pub fn run_scoped_rows(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    k: usize,
-    n: usize,
-    rows_per: usize,
-    kernel: fn(&[f32], &[f32], &mut [f32], usize, usize),
-) {
-    std::thread::scope(|scope| {
-        for (a_chunk, o_chunk) in a.chunks(rows_per * k).zip(out.chunks_mut(rows_per * n)) {
-            scope.spawn(move || kernel(a_chunk, b, o_chunk, k, n));
-        }
-    });
 }
 
 /// Model-checking surface: a private pool instance with fresh state per

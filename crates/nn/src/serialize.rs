@@ -1,38 +1,33 @@
-//! Binary checkpointing of model parameters and full training state.
+//! Binary checkpointing of the full training state.
 //!
 //! The paper's training process "periodically saves DNN parameters for
-//! testing" (Sec VI-D); this module is that mechanism. Two formats share
-//! the `VCNN` magic:
-//!
-//! **v1** — a bare [`ParamStore`] (weights only), kept for evaluation
-//! artifacts and backward compatibility:
-//!
-//! ```text
-//! magic "VCNN" | u32 version=1 | u32 param-count |
-//!   per param: u32 name-len | name bytes | u8 frozen |
-//!              u32 ndim | u32 dims... | f32 data...
-//! ```
-//!
-//! **v2** — a durable [`TrainCheckpoint`] capturing everything a run needs
-//! to resume *bit-exactly*: both parameter stores, Adam moment vectors and
-//! step counters, per-employee RNG streams, the episode/round counters, an
+//! testing" (Sec VI-D); this module is that mechanism. A checkpoint is one
+//! durable [`TrainCheckpoint`] capturing everything a run needs to resume
+//! *bit-exactly*: both parameter stores, Adam moment vectors and step
+//! counters, per-employee RNG streams, the episode/round counters, an
 //! opaque UTF-8 metadata blob (the trainer embeds its JSON config), and a
 //! CRC32 footer so torn or corrupted files are detected before any of it
-//! is trusted:
+//! is trusted. Evaluation and serving read only its policy store.
 //!
 //! ```text
 //! magic "VCNN" | u32 version=2 | u8 has-curiosity |
-//!   policy params (v1 param-count + per-param layout) |
-//!   [curiosity params] |
+//!   policy params | [curiosity params] |
 //!   ppo adam: u64 t | u32 n | n×f32 m | n×f32 v |
 //!   [curiosity adam] |
 //!   u32 rng-count | per stream: 4×u64 |
 //!   u64 episodes | u64 rounds |
 //!   u32 meta-len | meta bytes |
 //!   u32 crc32 (IEEE, over every preceding byte)
+//!
+//! params = u32 param-count |
+//!   per param: u32 name-len | name bytes | u8 frozen |
+//!              u32 ndim | u32 dims... | f32 data...
 //! ```
 //!
-//! All loaders are total: malformed input of any shape yields a typed
+//! Version 1 (a bare parameter store without footer) is retired; its files
+//! are rejected with [`CheckpointError::BadVersion`].
+//!
+//! The loader is total: malformed input of any shape yields a typed
 //! [`CheckpointError`], never a panic — length and size arithmetic is
 //! checked so hostile headers can't wrap offsets. [`write_checkpoint_file`]
 //! writes durably (tmp file, fsync, atomic rename) so a crash mid-write
@@ -45,8 +40,7 @@ use std::io::Write;
 use std::path::Path;
 
 const MAGIC: &[u8; 4] = b"VCNN";
-const VERSION: u32 = 1;
-const VERSION_V2: u32 = 2;
+const VERSION: u32 = 2;
 
 /// Errors from checkpoint decoding.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -67,7 +61,7 @@ pub enum CheckpointError {
         /// CRC the footer claims.
         stored: u32,
     },
-    /// A v2 section is internally inconsistent (e.g. Adam moments that
+    /// A section is internally inconsistent (e.g. Adam moments that
     /// don't cover the parameter store they accompany).
     Inconsistent(&'static str),
 }
@@ -109,7 +103,7 @@ fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
-// ------------------------------------------------------------ v1 sections
+// --------------------------------------------------------------- sections
 
 fn put_store(buf: &mut BytesMut, store: &ParamStore) {
     buf.put_u32_le(store.len() as u32);
@@ -180,36 +174,6 @@ fn get_store(buf: &mut &[u8]) -> Result<ParamStore, CheckpointError> {
     }
     Ok(store)
 }
-
-/// Serializes every parameter (values only; gradients are transient).
-pub fn save_checkpoint(store: &ParamStore) -> Bytes {
-    let mut buf = BytesMut::with_capacity(16 + store.num_scalars() * 4);
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    put_store(&mut buf, store);
-    buf.freeze()
-}
-
-/// Reconstructs a [`ParamStore`] from [`save_checkpoint`] output. Parameter
-/// ids are assigned in the original registration order, so layers built
-/// against the original store remain valid against the restored one.
-pub fn load_checkpoint(mut buf: &[u8]) -> Result<ParamStore, CheckpointError> {
-    if buf.remaining() < 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(CheckpointError::BadMagic);
-    }
-    let version = buf.get_u32_le();
-    if version != VERSION {
-        return Err(CheckpointError::BadVersion(version));
-    }
-    get_store(&mut buf)
-}
-
-// ------------------------------------------------------------ v2 sections
 
 /// Snapshot of one Adam optimizer's state: step counter plus flattened
 /// first/second moments (both empty before the optimizer's first step).
@@ -287,7 +251,7 @@ pub fn save_checkpoint_v2(ck: &TrainCheckpoint) -> Bytes {
             + ck.meta.len(),
     );
     buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION_V2);
+    buf.put_u32_le(VERSION);
     buf.put_u8(ck.curiosity.is_some() as u8);
     put_store(&mut buf, &ck.policy);
     if let Some(cur) = &ck.curiosity {
@@ -331,7 +295,7 @@ pub fn load_checkpoint_v2(full: &[u8]) -> Result<TrainCheckpoint, CheckpointErro
         return Err(CheckpointError::BadMagic);
     }
     let version = head.get_u32_le();
-    if version != VERSION_V2 {
+    if version != VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
     if full.len() < 13 {
@@ -454,101 +418,140 @@ mod tests {
         }
     }
 
+    /// A policy-only checkpoint (no curiosity, fresh optimizer).
+    fn policy_only(policy: ParamStore) -> TrainCheckpoint {
+        TrainCheckpoint { policy, ..TrainCheckpoint::default() }
+    }
+
+    /// Appends the CRC32 footer, so hand-built bodies reach the parser.
+    fn with_footer(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc32(&body);
+        body.put_u32_le(crc);
+        body
+    }
+
     #[test]
     fn roundtrip_preserves_everything() {
-        let store = sample_store();
-        let bytes = save_checkpoint(&store);
-        let restored = load_checkpoint(&bytes).unwrap();
-        assert_eq!(restored.len(), store.len());
-        for (a, b) in store.ids().zip(restored.ids()) {
-            assert_eq!(store.name(a), restored.name(b));
-            assert_eq!(store.is_frozen(a), restored.is_frozen(b));
-            assert_eq!(store.value(a), restored.value(b));
+        let ck = sample_v2();
+        let back = load_checkpoint_v2(&save_checkpoint_v2(&ck)).unwrap();
+        let pairs = [
+            (&ck.policy, &back.policy),
+            (ck.curiosity.as_ref().unwrap(), back.curiosity.as_ref().unwrap()),
+        ];
+        for (store, restored) in pairs {
+            assert_eq!(restored.len(), store.len());
+            for (a, b) in store.ids().zip(restored.ids()) {
+                assert_eq!(store.name(a), restored.name(b));
+                assert_eq!(store.is_frozen(a), restored.is_frozen(b));
+                assert_eq!(store.value(a), restored.value(b));
+            }
         }
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = save_checkpoint(&sample_store()).to_vec();
+        let mut bytes = save_checkpoint_v2(&sample_v2()).to_vec();
         bytes[0] = b'X';
-        assert_eq!(load_checkpoint(&bytes).unwrap_err(), CheckpointError::BadMagic);
+        assert_eq!(load_checkpoint_v2(&bytes).unwrap_err(), CheckpointError::BadMagic);
     }
 
     #[test]
     fn truncation_rejected() {
-        let bytes = save_checkpoint(&sample_store());
+        let bytes = save_checkpoint_v2(&policy_only(sample_store()));
         for cut in [0, 5, 13, bytes.len() / 2, bytes.len() - 1] {
-            assert_eq!(
-                load_checkpoint(&bytes[..cut]).unwrap_err(),
-                CheckpointError::Truncated,
-                "cut at {cut}"
-            );
+            let err = load_checkpoint_v2(&bytes[..cut]).unwrap_err();
+            if cut < 8 {
+                assert_eq!(err, CheckpointError::Truncated, "cut at {cut}");
+            } else {
+                // Past the header the footer no longer matches the body.
+                assert!(matches!(err, CheckpointError::BadCrc { .. }), "cut at {cut}: {err:?}");
+            }
         }
     }
 
     #[test]
     fn bad_version_rejected() {
-        let mut bytes = save_checkpoint(&sample_store()).to_vec();
+        let mut bytes = save_checkpoint_v2(&sample_v2()).to_vec();
         bytes[4] = 99;
-        assert!(matches!(load_checkpoint(&bytes).unwrap_err(), CheckpointError::BadVersion(_)));
+        assert_eq!(load_checkpoint_v2(&bytes).unwrap_err(), CheckpointError::BadVersion(99));
     }
 
     #[test]
-    fn v1_loader_rejects_v2_and_vice_versa() {
-        let v2 = save_checkpoint_v2(&sample_v2());
-        assert_eq!(load_checkpoint(&v2).unwrap_err(), CheckpointError::BadVersion(2));
-        let v1 = save_checkpoint(&sample_store());
+    fn retired_v1_files_are_rejected_by_version() {
+        // A v1 file: magic, version 1, a bare one-param store, no footer.
+        let mut v1: Vec<u8> = Vec::new();
+        v1.put_slice(b"VCNN");
+        v1.put_u32_le(1);
+        v1.put_u32_le(1); // one param
+        v1.put_u32_le(1); // name_len
+        v1.put_u8(b'w');
+        v1.put_u8(0); // not frozen
+        v1.put_u32_le(1); // ndim
+        v1.put_u32_le(1); // dim
+        v1.put_f32_le(1.0);
         assert_eq!(load_checkpoint_v2(&v1).unwrap_err(), CheckpointError::BadVersion(1));
     }
 
     #[test]
     fn wire_format_is_stable() {
-        // Golden prefix: magic + version + count. Changing the format must
-        // bump VERSION, not silently alter these bytes.
+        // Golden prefix: magic + version + curiosity flag + param count +
+        // first param header. Changing the format must bump VERSION, not
+        // silently alter these bytes.
         let mut s = ParamStore::new();
         s.add("w", Tensor::from_vec(&[1], vec![1.0]));
-        let bytes = save_checkpoint(&s);
+        let bytes = save_checkpoint_v2(&policy_only(s));
         assert_eq!(&bytes[..4], b"VCNN");
-        assert_eq!(&bytes[4..8], &1u32.to_le_bytes());
-        assert_eq!(&bytes[8..12], &1u32.to_le_bytes());
+        assert_eq!(&bytes[4..8], &2u32.to_le_bytes());
+        assert_eq!(bytes[8], 0); // no curiosity
+        assert_eq!(&bytes[9..13], &1u32.to_le_bytes());
         // name-len(1) + "w" + frozen(0) + ndim(1) + dim(1) + f32(1.0)
-        assert_eq!(bytes[12..16], 1u32.to_le_bytes());
-        assert_eq!(bytes[16], b'w');
-        assert_eq!(bytes[17], 0);
+        assert_eq!(bytes[13..17], 1u32.to_le_bytes());
+        assert_eq!(bytes[17], b'w');
+        assert_eq!(bytes[18], 0);
+        assert_eq!(bytes[19..23], 1u32.to_le_bytes());
+        assert_eq!(bytes[23..27], 1u32.to_le_bytes());
+        assert_eq!(bytes[27..31], 1.0f32.to_le_bytes());
+        // The footer is the CRC32 of everything before it.
+        let (body, footer) = bytes.split_at(bytes.len() - 4);
+        assert_eq!(footer, crc32(body).to_le_bytes());
     }
 
     #[test]
     fn empty_store_roundtrips() {
-        let store = ParamStore::new();
-        let restored = load_checkpoint(&save_checkpoint(&store)).unwrap();
-        assert!(restored.is_empty());
+        let back = load_checkpoint_v2(&save_checkpoint_v2(&TrainCheckpoint::default())).unwrap();
+        assert!(back.policy.is_empty());
+        assert!(back.curiosity.is_none() && back.rng_states.is_empty());
+        assert_eq!((back.episodes, back.rounds), (0, 0));
     }
 
     #[test]
     fn hostile_headers_with_huge_sizes_are_truncated_not_panics() {
-        // A v1 header declaring one param whose name_len is u32::MAX: the
-        // unchecked `name_len + 5` would wrap to 4 and pass the bounds
-        // check in release builds. Must be a typed error instead.
-        let mut bytes: Vec<u8> = Vec::new();
-        bytes.put_slice(b"VCNN");
-        bytes.put_u32_le(1); // version
-        bytes.put_u32_le(1); // one param
-        bytes.put_u32_le(u32::MAX); // hostile name_len
-        assert_eq!(load_checkpoint(&bytes).unwrap_err(), CheckpointError::Truncated);
+        // A header declaring one param whose name_len is u32::MAX, behind a
+        // valid footer: the unchecked `name_len + 5` would wrap to 4 and
+        // pass the bounds check in release builds. Must be a typed error
+        // instead.
+        let mut body: Vec<u8> = Vec::new();
+        body.put_slice(b"VCNN");
+        body.put_u32_le(VERSION);
+        body.put_u8(0); // no curiosity
+        body.put_u32_le(1); // one param
+        body.put_u32_le(u32::MAX); // hostile name_len
+        assert_eq!(load_checkpoint_v2(&with_footer(body)).unwrap_err(), CheckpointError::Truncated);
 
         // Hostile shape whose element product overflows usize.
-        let mut bytes: Vec<u8> = Vec::new();
-        bytes.put_slice(b"VCNN");
-        bytes.put_u32_le(1);
-        bytes.put_u32_le(1); // one param
-        bytes.put_u32_le(1); // name_len
-        bytes.put_u8(b'w');
-        bytes.put_u8(0); // not frozen
-        bytes.put_u32_le(4); // ndim = 4
+        let mut body: Vec<u8> = Vec::new();
+        body.put_slice(b"VCNN");
+        body.put_u32_le(VERSION);
+        body.put_u8(0);
+        body.put_u32_le(1); // one param
+        body.put_u32_le(1); // name_len
+        body.put_u8(b'w');
+        body.put_u8(0); // not frozen
+        body.put_u32_le(4); // ndim = 4
         for _ in 0..4 {
-            bytes.put_u32_le(u32::MAX); // dims whose product wraps
+            body.put_u32_le(u32::MAX); // dims whose product wraps
         }
-        assert_eq!(load_checkpoint(&bytes).unwrap_err(), CheckpointError::Truncated);
+        assert_eq!(load_checkpoint_v2(&with_footer(body)).unwrap_err(), CheckpointError::Truncated);
     }
 
     #[test]
@@ -616,11 +619,11 @@ mod tests {
         // Seeded chaos: random multi-byte mutations, random truncations,
         // and random garbage must always produce Ok or a typed error —
         // any panic fails the test harness.
-        let v1 = save_checkpoint(&sample_store()).to_vec();
-        let v2 = save_checkpoint_v2(&sample_v2()).to_vec();
+        let plain = save_checkpoint_v2(&policy_only(sample_store())).to_vec();
+        let full = save_checkpoint_v2(&sample_v2()).to_vec();
         let mut rng = StdRng::seed_from_u64(99);
         for round in 0..500 {
-            let base = if round % 2 == 0 { &v1 } else { &v2 };
+            let base = if round % 2 == 0 { &plain } else { &full };
             let mut buf = base.clone();
             for _ in 0..rng.gen_range(1..8usize) {
                 let i = rng.gen_range(0..buf.len());
@@ -629,13 +632,11 @@ mod tests {
             if rng.gen_bool(0.5) {
                 buf.truncate(rng.gen_range(0..buf.len() + 1));
             }
-            let _ = load_checkpoint(&buf);
             let _ = load_checkpoint_v2(&buf);
         }
         // Pure garbage of assorted lengths.
         for len in [0usize, 1, 3, 7, 8, 12, 13, 64, 1024] {
             let garbage: Vec<u8> = (0..len).map(|_| (rng.gen::<u32>() & 0xFF) as u8).collect();
-            let _ = load_checkpoint(&garbage);
             let _ = load_checkpoint_v2(&garbage);
         }
     }

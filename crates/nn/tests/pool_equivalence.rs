@@ -1,8 +1,7 @@
 //! Bit-exact equivalence of every GEMM execution strategy.
 //!
-//! The pooled dispatcher ([`gemm`]), the scoped-thread baseline
-//! ([`gemm_scoped`]) and the sequential reference ([`matmul_naive`]) must
-//! agree **bitwise** for every thread count, because the deterministic
+//! The pooled dispatcher ([`gemm`]) and the sequential reference
+//! ([`matmul_naive`]) must agree **bitwise** for every thread count, because the deterministic
 //! replay/golden-trace machinery depends on runs being reproducible across
 //! machines with different core counts. The pooled path partitions the
 //! output into MR-aligned row chunks × L2-sized column panels and runs the
@@ -18,7 +17,7 @@
 //! must produce the same bits as the vectorized path.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use vc_nn::ops::gemm::{gemm, gemm_scoped, matmul_naive, set_force_scalar, PAR_THRESHOLD};
+use vc_nn::ops::gemm::{gemm, matmul_naive, set_force_scalar, PAR_THRESHOLD};
 
 fn lcg_fill(buf: &mut [f32], mut state: u64) {
     for v in buf.iter_mut() {
@@ -50,15 +49,6 @@ fn check_shape(m: usize, k: usize, n: usize) {
                 pooled.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 want,
                 "pooled gemm diverged from naive at {m}x{k}x{n}, \
-                 threads={threads}, force_scalar={scalar}"
-            );
-
-            let mut scoped = vec![0.0f32; m * n];
-            gemm_scoped(&a, &b, &mut scoped, m, k, n, threads);
-            assert_eq!(
-                scoped.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                want,
-                "scoped gemm diverged from naive at {m}x{k}x{n}, \
                  threads={threads}, force_scalar={scalar}"
             );
         }
@@ -93,8 +83,8 @@ fn above_threshold_prime_shape_is_bitwise_identical() {
 
 #[test]
 fn below_threshold_shape_is_bitwise_identical() {
-    // 64³ stays sequential in `gemm` for every thread count; `gemm_scoped`
-    // still fans out (it has no threshold). Both must match naive exactly.
+    // 64³ stays sequential in `gemm` for every thread count and must
+    // match naive exactly.
     const { assert!(64 * 64 * 64 < PAR_THRESHOLD) }
     check_shape(64, 64, 64);
 }

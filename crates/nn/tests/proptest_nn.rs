@@ -172,8 +172,9 @@ fn checkpoint_roundtrip() {
         let mut store = ParamStore::new();
         store.add("a", Tensor::from_vec(&[3, 4], data.clone()));
         store.add_frozen("b", Tensor::from_vec(&[12], data));
-        let restored = load_checkpoint(&save_checkpoint(&store)).unwrap();
-        assert_eq!(restored.flat_values(), store.flat_values());
+        let ck = TrainCheckpoint { policy: store, ..TrainCheckpoint::default() };
+        let restored = load_checkpoint_v2(&save_checkpoint_v2(&ck)).unwrap().policy;
+        assert_eq!(restored.flat_values(), ck.policy.flat_values());
     }
 }
 

@@ -30,13 +30,13 @@
 //! [`ChiefError`] instead of panicking inside library code (see DESIGN.md,
 //! "Fault tolerance & resume").
 
-use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -461,7 +461,7 @@ fn run_employee(
     index: usize,
     generation: u64,
     cmd_rx: Receiver<Cmd>,
-    reply_tx: Sender<(usize, u64, Reply)>,
+    reply_tx: SyncSender<(usize, u64, Reply)>,
     faults: Arc<FaultPlan>,
 ) {
     let mut stalled_rounds = 0u64;
@@ -536,7 +536,7 @@ fn run_employee(
 struct EmployeeSlot {
     /// `None` while the employee is dead (dropping the sender lets a
     /// stalled thread observe the closed channel and exit).
-    cmd_tx: Option<Sender<Cmd>>,
+    cmd_tx: Option<SyncSender<Cmd>>,
     join: Option<JoinHandle<()>>,
     /// Bumped on every respawn; replies from older generations are stale
     /// and ignored.
@@ -629,7 +629,7 @@ pub struct ChiefExecutor {
     reply_rx: Receiver<(usize, u64, Reply)>,
     /// Kept alive (and cloned into respawned threads) so the reply channel
     /// never disconnects while the chief lives.
-    reply_tx: Sender<(usize, u64, Reply)>,
+    reply_tx: SyncSender<(usize, u64, Reply)>,
     ppo_buffer: Arc<GradientBuffer>,
     curiosity_buffer: Arc<GradientBuffer>,
     cfg: ChiefConfig,
@@ -695,7 +695,7 @@ impl ChiefExecutor {
     ) -> Result<Self, ChiefError> {
         let count = employees.len();
         let faults = Arc::new(cfg.faults.clone());
-        let (reply_tx, reply_rx) = bounded::<(usize, u64, Reply)>((count * 4).max(16));
+        let (reply_tx, reply_rx) = sync_channel::<(usize, u64, Reply)>((count * 4).max(16));
         let mut slots = Vec::with_capacity(count);
         for (i, emp) in employees.into_iter().enumerate() {
             let (cmd_tx, join) = spawn_thread(emp, i, 0, reply_tx.clone(), Arc::clone(&faults))?;
@@ -928,7 +928,7 @@ impl ChiefExecutor {
                 if now >= d {
                     return Ok(None);
                 }
-                Ok(self.reply_rx.recv_timeout(d - now))
+                Ok(self.reply_rx.recv_timeout(d - now).ok())
             }
         }
     }
@@ -1203,10 +1203,10 @@ fn spawn_thread(
     emp: Box<dyn Employee>,
     index: usize,
     generation: u64,
-    reply_tx: Sender<(usize, u64, Reply)>,
+    reply_tx: SyncSender<(usize, u64, Reply)>,
     faults: Arc<FaultPlan>,
-) -> Result<(Sender<Cmd>, JoinHandle<()>), ChiefError> {
-    let (cmd_tx, cmd_rx) = bounded::<Cmd>(4);
+) -> Result<(SyncSender<Cmd>, JoinHandle<()>), ChiefError> {
+    let (cmd_tx, cmd_rx) = sync_channel::<Cmd>(4);
     let join = std::thread::Builder::new()
         .name(format!("employee-{index}.{generation}"))
         .spawn(move || run_employee(emp, index, generation, cmd_rx, reply_tx, faults))

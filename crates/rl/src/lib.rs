@@ -2,9 +2,13 @@
 //!
 //! The reinforcement-learning machinery of the DRL-CEWS reproduction:
 //!
-//! * [`net::ActorCritic`] — the paper's CNN encoder (3 conv + layer norm +
-//!   FC) with per-worker route-planning and charging heads plus a value head;
-//! * [`policy`] — joint-action sampling with optional validity masking;
+//! * [`net::ActorCriticNet`] — the paper's CNN encoder (3 conv, layer
+//!   norm, FC) with route-planning, charging and value heads, in two head
+//!   variants: [`net::ActorCritic`] (the paper's per-worker head columns)
+//!   and [`net::FleetActorCritic`] (heads shared across workers, for
+//!   1000-worker fleets);
+//! * [`policy`] — joint-action sampling with optional validity masking, one
+//!   generic path for both variants;
 //! * [`buffer::RolloutBuffer`] — the per-episode replay buffer `D`;
 //! * [`gae`] — discounted returns (Eqn 11) and GAE-λ advantages;
 //! * [`ppo`] — the clipped-surrogate gradient computation (Eqns 8/12);
@@ -41,9 +45,8 @@ pub mod prelude {
         ActorCritic, FleetActorCritic, NetConfig, NetOutputs, CHARGE_CHOICES, MOVES_PER_WORKER,
     };
     pub use crate::policy::{
-        sample_action, sample_action_fleet, sample_actions_batched, sample_actions_fleet,
-        state_value, state_values_batched, state_values_fleet, PolicyOptions, SampleMode,
-        SampledAction,
+        sample_action, sample_action_fleet, sample_actions_batched, state_value,
+        state_values_batched, PolicyOptions, SampleMode, SampledAction,
     };
     pub use crate::ppo::{compute_ppo_grads, finish_rollout, PpoConfig, PpoStats};
 }

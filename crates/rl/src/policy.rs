@@ -6,7 +6,7 @@
 //! than a hard mask (Eqn 18's `τ`), but masking is exposed for ablations and
 //! for safe deployment at test time.
 
-use crate::net::{ActorCritic, FleetActorCritic, CHARGE_CHOICES, MOVES_PER_WORKER};
+use crate::net::{ActorCriticNet, Heads, NetOutputs, CHARGE_CHOICES, MOVES_PER_WORKER};
 use rand::Rng;
 use vc_env::prelude::*;
 use vc_nn::prelude::*;
@@ -83,27 +83,21 @@ impl Default for PolicyOptions {
     }
 }
 
-/// Stacks the encoded states of `envs` into one `[E, C, H, W]` leaf and
-/// runs a single forward pass, returning the batched graph outputs.
+/// Encodes every environment into one `[E, C, H, W]` leaf (arena-backed, no
+/// per-env temporaries thanks to `encode_into`) and runs a single forward
+/// pass, returning the batched graph outputs.
 ///
 /// All environments must share the network's worker count and grid. The
 /// per-row arithmetic of every kernel is bitwise independent of the batch
 /// dimension (pinned by the blocked-vs-naive GEMM equivalence tests), so
 /// row `e` of the batched outputs is bit-identical to a batch-of-one
 /// forward of `envs[e]`.
-fn forward_batched(
-    net: &ActorCritic,
+fn forward_batched<H: Heads>(
+    net: &ActorCriticNet<H>,
     store: &ParamStore,
     envs: &[&CrowdsensingEnv],
     g: &mut Graph,
-) -> crate::net::NetOutputs {
-    let s = stack_states(envs, net.config().num_workers, g);
-    net.forward(g, store, s)
-}
-
-/// Encodes every environment into one `[E, C, H, W]` leaf (arena-backed, no
-/// per-env temporaries thanks to `encode_into`).
-fn stack_states(envs: &[&CrowdsensingEnv], expected_workers: usize, g: &mut Graph) -> NodeId {
+) -> NetOutputs {
     let cfg = envs[0].config();
     let shape = vc_env::state::state_shape(cfg);
     let item = shape[0] * shape[1] * shape[2];
@@ -111,25 +105,29 @@ fn stack_states(envs: &[&CrowdsensingEnv], expected_workers: usize, g: &mut Grap
     for env in envs {
         assert_eq!(
             env.config().num_workers,
-            expected_workers,
+            net.config().num_workers,
             "network sized for a different worker count"
         );
         vc_env::state::encode_into(env, &mut stacked);
     }
-    g.leaf(Tensor::from_vec(&[envs.len(), shape[0], shape[1], shape[2]], stacked))
+    let s = g.leaf(Tensor::from_vec(&[envs.len(), shape[0], shape[1], shape[2]], stacked));
+    net.forward(g, store, s)
 }
 
 /// Encodes every environment, runs **one** batched forward pass and samples
-/// a joint action per environment.
+/// a joint action per environment — the sampling path of both head
+/// variants ([`ActorCritic`](crate::net::ActorCritic) and
+/// [`FleetActorCritic`](crate::net::FleetActorCritic)).
 ///
 /// This is the rollout hot path: `E` lockstep episodes cost one network
 /// evaluation per step instead of `E`, amortizing graph construction and
-/// pushing the per-step GEMMs into shapes the blocked kernel likes. The RNG
-/// is consumed in environment order then worker order — exactly the order
-/// `E` sequential [`sample_action`] calls would use — and the underlying
-/// kernels are batch-invariant, so results match the sequential path.
-pub fn sample_actions_batched(
-    net: &ActorCritic,
+/// pushing the per-step GEMMs into shapes the blocked kernel likes. Both
+/// variants emit `[E·W, A]` logits in env-major worker-minor order and the
+/// RNG is consumed in that order — exactly the order `E` sequential
+/// [`sample_action`] calls would use — and the underlying kernels are
+/// batch-invariant, so results match the sequential path bit for bit.
+pub fn sample_actions_batched<H: Heads>(
+    net: &ActorCriticNet<H>,
     store: &ParamStore,
     envs: &[&CrowdsensingEnv],
     opts: PolicyOptions,
@@ -140,36 +138,12 @@ pub fn sample_actions_batched(
     }
     let mut g = Graph::new();
     let out = forward_batched(net, store, envs, &mut g);
-    let values: Vec<f32> = g.value(out.value).data().to_vec();
-    let move_logits = g.value(out.move_logits).clone(); // [E·W, 9]
-    let charge_logits = g.value(out.charge_logits).clone(); // [E·W, 2]
-    sample_from_logits(
-        &values,
-        move_logits,
-        charge_logits,
-        envs,
-        net.config().num_workers,
-        opts,
-        rng,
-    )
-}
+    let values = g.value(out.value).data();
+    let mut move_logits = g.value(out.move_logits).clone(); // [E·W, 9]
+    let mut charge_logits = g.value(out.charge_logits).clone(); // [E·W, 2]
+    let w_count = net.config().num_workers;
 
-/// Masks, renormalizes and samples per-worker actions from batched logit
-/// tensors — the shared back half of the joint and fleet-factored samplers.
-/// Both nets emit the same `[E·W, A]` env-major worker-minor row layout and
-/// the RNG is consumed in that order, so each front end inherits the
-/// batched-equals-sequential bitwise guarantee.
-fn sample_from_logits(
-    values: &[f32],
-    mut move_logits: Tensor,
-    mut charge_logits: Tensor,
-    envs: &[&CrowdsensingEnv],
-    w_count: usize,
-    opts: PolicyOptions,
-    rng: &mut impl Rng,
-) -> Vec<SampledAction> {
-    let e_count = envs.len();
-    let mut sampled = Vec::with_capacity(e_count);
+    let mut masks = Vec::with_capacity(envs.len());
     for (ei, env) in envs.iter().enumerate() {
         let mut move_mask = vec![true; w_count * MOVES_PER_WORKER];
         let mut charge_mask = vec![true; w_count * CHARGE_CHOICES];
@@ -189,13 +163,13 @@ fn sample_from_logits(
                 }
             }
         }
-        sampled.push((move_mask, charge_mask));
+        masks.push((move_mask, charge_mask));
     }
 
     let move_probs = vc_nn::ops::softmax::softmax_rows(&move_logits);
     let charge_probs = vc_nn::ops::softmax::softmax_rows(&charge_logits);
 
-    sampled
+    masks
         .into_iter()
         .enumerate()
         .map(|(ei, (move_mask, charge_mask))| {
@@ -234,8 +208,8 @@ fn sample_from_logits(
 /// Encodes the environment state, runs the network and samples a joint
 /// action for every worker. Batch-of-one wrapper over
 /// [`sample_actions_batched`].
-pub fn sample_action(
-    net: &ActorCritic,
+pub fn sample_action<H: Heads>(
+    net: &ActorCriticNet<H>,
     store: &ParamStore,
     env: &CrowdsensingEnv,
     opts: PolicyOptions,
@@ -245,74 +219,14 @@ pub fn sample_action(
     batch.swap_remove(0)
 }
 
-/// Fleet-major variant of [`sample_actions_batched`]: one batched forward
-/// through the factored [`FleetActorCritic`], whose head cost is
-/// independent of the worker count — the sampling front end for
-/// 1000-worker fleets.
-///
-/// The factored net emits the same `[E·W, A]` row layout, and masking,
-/// softmax and RNG consumption go through the shared
-/// [`sample_from_logits`] back half, so fleet-major batching is
-/// bitwise-identical to `E` sequential [`sample_action_fleet`] calls (at
-/// paper scale and above; pinned by the policy tests).
-pub fn sample_actions_fleet(
-    net: &FleetActorCritic,
-    store: &ParamStore,
-    envs: &[&CrowdsensingEnv],
-    opts: PolicyOptions,
-    rng: &mut impl Rng,
-) -> Vec<SampledAction> {
-    if envs.is_empty() {
-        return Vec::new();
-    }
-    let mut g = Graph::new();
-    let s = stack_states(envs, net.config().num_workers, &mut g);
-    let out = net.forward(&mut g, store, s);
-    let values: Vec<f32> = g.value(out.value).data().to_vec();
-    let move_logits = g.value(out.move_logits).clone(); // [E·W, 9]
-    let charge_logits = g.value(out.charge_logits).clone(); // [E·W, 2]
-    sample_from_logits(
-        &values,
-        move_logits,
-        charge_logits,
-        envs,
-        net.config().num_workers,
-        opts,
-        rng,
-    )
-}
-
-/// Batch-of-one wrapper over [`sample_actions_fleet`].
-pub fn sample_action_fleet(
-    net: &FleetActorCritic,
-    store: &ParamStore,
-    env: &CrowdsensingEnv,
-    opts: PolicyOptions,
-    rng: &mut impl Rng,
-) -> SampledAction {
-    let mut batch = sample_actions_fleet(net, store, &[env], opts, rng);
-    batch.swap_remove(0)
-}
-
-/// State values `V(s)` from the fleet net (bootstrap targets, vectorized).
-pub fn state_values_fleet(
-    net: &FleetActorCritic,
-    store: &ParamStore,
-    envs: &[&CrowdsensingEnv],
-) -> Vec<f32> {
-    if envs.is_empty() {
-        return Vec::new();
-    }
-    let mut g = Graph::new();
-    let s = stack_states(envs, net.config().num_workers, &mut g);
-    let out = net.forward(&mut g, store, s);
-    g.value(out.value).data().to_vec()
-}
+/// The fleet-scale name of [`sample_action`], which serves both head
+/// variants.
+pub use sample_action as sample_action_fleet;
 
 /// One batched forward returning only the state values `V(s)` for each
 /// environment (the bootstrap `V(s_T)` of Eqn 11, vectorized).
-pub fn state_values_batched(
-    net: &ActorCritic,
+pub fn state_values_batched<H: Heads>(
+    net: &ActorCriticNet<H>,
     store: &ParamStore,
     envs: &[&CrowdsensingEnv],
 ) -> Vec<f32> {
@@ -326,28 +240,159 @@ pub fn state_values_batched(
 
 /// Runs the network once and returns the state value only (the bootstrap
 /// `V(s_T)` of Eqn 11).
-pub fn state_value(net: &ActorCritic, store: &ParamStore, env: &CrowdsensingEnv) -> f32 {
+pub fn state_value<H: Heads>(
+    net: &ActorCriticNet<H>,
+    store: &ParamStore,
+    env: &CrowdsensingEnv,
+) -> f32 {
     state_values_batched(net, store, &[env])[0]
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
+    //! Every sampling behaviour has one body, generic over the head
+    //! variant, and runs once per variant.
+
     use super::*;
-    use crate::net::NetConfig;
+    use crate::net::{FactoredHeads, JointHeads, NetConfig};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn setup() -> (ParamStore, ActorCritic, CrowdsensingEnv, StdRng) {
+    fn setup<H: Heads>() -> (ParamStore, ActorCriticNet<H>, CrowdsensingEnv, StdRng) {
         let env = CrowdsensingEnv::new(EnvConfig::tiny());
         let mut rng = StdRng::seed_from_u64(5);
         let mut store = ParamStore::new();
-        let net = ActorCritic::new(
+        let net = ActorCriticNet::new(
             &mut store,
             NetConfig::for_scenario(env.config().grid, env.config().num_workers),
             &mut rng,
         );
         (store, net, env, rng)
+    }
+
+    /// Copies of `env` advanced by `steps[i]` slots of a fixed move, so a
+    /// batch-index mixup would be caught.
+    fn diversified(env: &CrowdsensingEnv, mv: usize, steps: &[usize]) -> Vec<CrowdsensingEnv> {
+        let acts: Vec<WorkerAction> = (0..env.config().num_workers)
+            .map(|_| WorkerAction { movement: Move::from_index(mv), charge: false })
+            .collect();
+        steps
+            .iter()
+            .map(|&n| {
+                let mut e = CrowdsensingEnv::new(env.config().clone());
+                for _ in 0..n {
+                    let _ = e.step(&acts);
+                }
+                e
+            })
+            .collect()
+    }
+
+    fn check_well_formed<H: Heads>() {
+        let (store, net, env, mut rng) = setup::<H>();
+        let a = sample_action(&net, &store, &env, PolicyOptions::default(), &mut rng);
+        assert_eq!(a.actions.len(), env.config().num_workers);
+        assert!(a.logp <= 0.0, "log-prob must be non-positive");
+        assert!(a.logp.is_finite());
+        for (wi, act) in a.actions.iter().enumerate() {
+            assert_eq!(act.movement.index(), a.moves[wi]);
+            assert_eq!(act.charge, a.charges[wi] == 1);
+        }
+    }
+
+    fn check_greedy_deterministic<H: Heads>() {
+        let (store, net, env, mut rng) = setup::<H>();
+        let opts = PolicyOptions { mode: SampleMode::Greedy, mask_invalid: false };
+        let a = sample_action(&net, &store, &env, opts, &mut rng);
+        let b = sample_action(&net, &store, &env, opts, &mut rng);
+        assert_eq!(a.moves, b.moves);
+        assert_eq!(a.charges, b.charges);
+    }
+
+    fn check_masking<H: Heads>() {
+        let (store, net, mut env, mut rng) = setup::<H>();
+        // Park the worker in a corner: several moves become illegal.
+        env.teleport_worker(0, Point::new(0.0, 0.0));
+        let opts = PolicyOptions { mode: SampleMode::Stochastic, mask_invalid: true };
+        for _ in 0..50 {
+            let a = sample_action(&net, &store, &env, opts, &mut rng);
+            let mask = env.valid_moves(0);
+            assert!(mask[a.moves[0]], "sampled a masked move {:?}", a.moves[0]);
+            if !env.can_charge(0) {
+                assert_eq!(a.charges[0], 0, "sampled charge while out of range");
+            }
+        }
+    }
+
+    fn check_state_value_matches_sampled_value<H: Heads>() {
+        let (store, net, env, mut rng) = setup::<H>();
+        let v = state_value(&net, &store, &env);
+        let vs = state_values_batched(&net, &store, &[&env]);
+        let a = sample_action(&net, &store, &env, PolicyOptions::default(), &mut rng);
+        assert_eq!(v.to_bits(), a.value.to_bits());
+        assert_eq!(vs[0].to_bits(), a.value.to_bits());
+    }
+
+    /// Kernel arithmetic is batch-invariant, so one `[3, C, H, W]` forward
+    /// must reproduce three batch-of-one forwards bit for bit.
+    fn check_batched_greedy_matches_sequential<H: Heads>() {
+        let (store, net, env, mut rng) = setup::<H>();
+        let envs = diversified(&env, 1, &[0, 1, 2]);
+        let refs: Vec<&CrowdsensingEnv> = envs.iter().collect();
+        let opts = PolicyOptions { mode: SampleMode::Greedy, mask_invalid: true };
+        let batched = sample_actions_batched(&net, &store, &refs, opts, &mut rng);
+        assert_eq!(batched.len(), 3);
+        for (i, e) in envs.iter().enumerate() {
+            let single = sample_action(&net, &store, e, opts, &mut rng);
+            assert_eq!(batched[i].moves, single.moves, "env {i} moves diverged");
+            assert_eq!(batched[i].charges, single.charges, "env {i} charges diverged");
+            assert_eq!(batched[i].move_mask, single.move_mask);
+            assert_eq!(batched[i].charge_mask, single.charge_mask);
+            assert_eq!(
+                batched[i].value.to_bits(),
+                single.value.to_bits(),
+                "env {i} value not bit-identical: batched {} vs single {}",
+                batched[i].value,
+                single.value
+            );
+            assert_eq!(batched[i].logp.to_bits(), single.logp.to_bits(), "env {i} logp diverged");
+        }
+    }
+
+    /// The batched sampler must draw from the RNG in env-major,
+    /// worker-minor order — the same stream E sequential calls consume.
+    fn check_batched_rng_order<H: Heads>() {
+        let (store, net, env, _) = setup::<H>();
+        let envs = diversified(&env, 2, &[0, 1]);
+        let opts = PolicyOptions::default();
+        let mut rng_batched = StdRng::seed_from_u64(77);
+        let batched =
+            sample_actions_batched(&net, &store, &[&envs[0], &envs[1]], opts, &mut rng_batched);
+
+        let mut rng_seq = StdRng::seed_from_u64(77);
+        let first = sample_action(&net, &store, &envs[0], opts, &mut rng_seq);
+        let second = sample_action(&net, &store, &envs[1], opts, &mut rng_seq);
+        assert_eq!(batched[0].moves, first.moves);
+        assert_eq!(batched[0].charges, first.charges);
+        assert_eq!(batched[1].moves, second.moves);
+        assert_eq!(batched[1].charges, second.charges);
+    }
+
+    fn check_state_values_batched_matches_singles<H: Heads>() {
+        let (store, net, env, _) = setup::<H>();
+        let envs = diversified(&env, 3, &[0, 1]);
+        let vs = state_values_batched(&net, &store, &[&envs[0], &envs[1]]);
+        assert_eq!(vs.len(), 2);
+        assert_eq!(vs[0].to_bits(), state_value(&net, &store, &envs[0]).to_bits());
+        assert_eq!(vs[1].to_bits(), state_value(&net, &store, &envs[1]).to_bits());
+    }
+
+    fn check_empty_batch<H: Heads>() {
+        let (store, net, _, mut rng) = setup::<H>();
+        assert!(sample_actions_batched(&net, &store, &[], PolicyOptions::default(), &mut rng)
+            .is_empty());
+        assert!(state_values_batched(&net, &store, &[]).is_empty());
     }
 
     #[test]
@@ -371,236 +416,69 @@ mod tests {
 
     #[test]
     fn sampled_actions_are_well_formed() {
-        let (store, net, env, mut rng) = setup();
-        let a = sample_action(&net, &store, &env, PolicyOptions::default(), &mut rng);
-        assert_eq!(a.actions.len(), env.config().num_workers);
-        assert!(a.logp <= 0.0, "log-prob must be non-positive");
-        assert!(a.logp.is_finite());
-        for (wi, act) in a.actions.iter().enumerate() {
-            assert_eq!(act.movement.index(), a.moves[wi]);
-            assert_eq!(act.charge, a.charges[wi] == 1);
-        }
-    }
-
-    #[test]
-    fn greedy_mode_is_deterministic() {
-        let (store, net, env, mut rng) = setup();
-        let opts = PolicyOptions { mode: SampleMode::Greedy, mask_invalid: false };
-        let a = sample_action(&net, &store, &env, opts, &mut rng);
-        let b = sample_action(&net, &store, &env, opts, &mut rng);
-        assert_eq!(a.moves, b.moves);
-        assert_eq!(a.charges, b.charges);
-    }
-
-    #[test]
-    fn masking_prevents_invalid_choices() {
-        let (store, net, mut env, mut rng) = setup();
-        // Park the worker in a corner: several moves become illegal.
-        env.teleport_worker(0, Point::new(0.0, 0.0));
-        let opts = PolicyOptions { mode: SampleMode::Stochastic, mask_invalid: true };
-        for _ in 0..50 {
-            let a = sample_action(&net, &store, &env, opts, &mut rng);
-            let mask = env.valid_moves(0);
-            assert!(mask[a.moves[0]], "sampled a masked move {:?}", a.moves[0]);
-            if !env.can_charge(0) {
-                assert_eq!(a.charges[0], 0, "sampled charge while out of range");
-            }
-        }
-    }
-
-    #[test]
-    fn state_value_matches_sampled_value() {
-        let (store, net, env, mut rng) = setup();
-        let v = state_value(&net, &store, &env);
-        let a = sample_action(&net, &store, &env, PolicyOptions::default(), &mut rng);
-        assert!((v - a.value).abs() < 1e-6);
-    }
-
-    #[test]
-    fn batched_greedy_matches_sequential_bitwise() {
-        // Kernel arithmetic is batch-invariant, so one [3, C, H, W] forward
-        // must reproduce three batch-of-one forwards bit for bit.
-        let (store, net, env, mut rng) = setup();
-        let mut env_b = CrowdsensingEnv::new(env.config().clone());
-        let mut env_c = CrowdsensingEnv::new(env.config().clone());
-        // Diversify the states so a batch-index mixup would be caught.
-        let acts: Vec<WorkerAction> = (0..env.config().num_workers)
-            .map(|_| WorkerAction { movement: Move::from_index(1), charge: false })
-            .collect();
-        let _ = env_b.step(&acts);
-        let _ = env_c.step(&acts);
-        let _ = env_c.step(&acts);
-
-        let opts = PolicyOptions { mode: SampleMode::Greedy, mask_invalid: true };
-        let batched = sample_actions_batched(&net, &store, &[&env, &env_b, &env_c], opts, &mut rng);
-        assert_eq!(batched.len(), 3);
-        for (i, e) in [&env, &env_b, &env_c].into_iter().enumerate() {
-            let single = sample_action(&net, &store, e, opts, &mut rng);
-            assert_eq!(batched[i].moves, single.moves, "env {i} moves diverged");
-            assert_eq!(batched[i].charges, single.charges, "env {i} charges diverged");
-            assert_eq!(batched[i].move_mask, single.move_mask);
-            assert_eq!(batched[i].charge_mask, single.charge_mask);
-            assert_eq!(
-                batched[i].value.to_bits(),
-                single.value.to_bits(),
-                "env {i} value not bit-identical: batched {} vs single {}",
-                batched[i].value,
-                single.value
-            );
-            assert_eq!(batched[i].logp.to_bits(), single.logp.to_bits(), "env {i} logp diverged");
-        }
-    }
-
-    #[test]
-    fn batched_stochastic_consumes_rng_in_sequential_order() {
-        // With identical probabilities, the batched sampler must draw from
-        // the RNG in env-major, worker-minor order — the same stream E
-        // sequential calls would consume.
-        let (store, net, env, _) = setup();
-        let mut env_b = CrowdsensingEnv::new(env.config().clone());
-        let acts: Vec<WorkerAction> = (0..env.config().num_workers)
-            .map(|_| WorkerAction { movement: Move::from_index(2), charge: false })
-            .collect();
-        let _ = env_b.step(&acts);
-
-        let opts = PolicyOptions::default();
-        let mut rng_batched = StdRng::seed_from_u64(77);
-        let batched = sample_actions_batched(&net, &store, &[&env, &env_b], opts, &mut rng_batched);
-
-        let mut rng_seq = StdRng::seed_from_u64(77);
-        let first = sample_action(&net, &store, &env, opts, &mut rng_seq);
-        let second = sample_action(&net, &store, &env_b, opts, &mut rng_seq);
-        assert_eq!(batched[0].moves, first.moves);
-        assert_eq!(batched[0].charges, first.charges);
-        assert_eq!(batched[1].moves, second.moves);
-        assert_eq!(batched[1].charges, second.charges);
-    }
-
-    fn setup_fleet() -> (ParamStore, FleetActorCritic, CrowdsensingEnv, StdRng) {
-        let env = CrowdsensingEnv::new(EnvConfig::tiny());
-        let mut rng = StdRng::seed_from_u64(5);
-        let mut store = ParamStore::new();
-        let net = FleetActorCritic::new(
-            &mut store,
-            NetConfig::for_scenario(env.config().grid, env.config().num_workers),
-            &mut rng,
-        );
-        (store, net, env, rng)
+        check_well_formed::<JointHeads>();
     }
 
     #[test]
     fn fleet_sampled_actions_are_well_formed() {
-        let (store, net, env, mut rng) = setup_fleet();
-        let a = sample_action_fleet(&net, &store, &env, PolicyOptions::default(), &mut rng);
-        assert_eq!(a.actions.len(), env.config().num_workers);
-        assert!(a.logp <= 0.0 && a.logp.is_finite());
-        for (wi, act) in a.actions.iter().enumerate() {
-            assert_eq!(act.movement.index(), a.moves[wi]);
-            assert_eq!(act.charge, a.charges[wi] == 1);
-        }
+        check_well_formed::<FactoredHeads>();
     }
 
     #[test]
-    fn fleet_batched_greedy_matches_sequential_bitwise() {
-        // The fleet-major path inherits the batch-invariance of the
-        // kernels: one [3, C, H, W] forward must reproduce three
-        // batch-of-one fleet forwards bit for bit.
-        let (store, net, env, mut rng) = setup_fleet();
-        let mut env_b = CrowdsensingEnv::new(env.config().clone());
-        let mut env_c = CrowdsensingEnv::new(env.config().clone());
-        let acts: Vec<WorkerAction> = (0..env.config().num_workers)
-            .map(|_| WorkerAction { movement: Move::from_index(1), charge: false })
-            .collect();
-        let _ = env_b.step(&acts);
-        let _ = env_c.step(&acts);
-        let _ = env_c.step(&acts);
-
-        let opts = PolicyOptions { mode: SampleMode::Greedy, mask_invalid: true };
-        let batched = sample_actions_fleet(&net, &store, &[&env, &env_b, &env_c], opts, &mut rng);
-        assert_eq!(batched.len(), 3);
-        for (i, e) in [&env, &env_b, &env_c].into_iter().enumerate() {
-            let single = sample_action_fleet(&net, &store, e, opts, &mut rng);
-            assert_eq!(batched[i].moves, single.moves, "env {i} moves diverged");
-            assert_eq!(batched[i].charges, single.charges, "env {i} charges diverged");
-            assert_eq!(batched[i].move_mask, single.move_mask);
-            assert_eq!(batched[i].charge_mask, single.charge_mask);
-            assert_eq!(
-                batched[i].value.to_bits(),
-                single.value.to_bits(),
-                "env {i} value not bit-identical"
-            );
-            assert_eq!(batched[i].logp.to_bits(), single.logp.to_bits(), "env {i} logp diverged");
-        }
+    fn greedy_mode_is_deterministic() {
+        check_greedy_deterministic::<JointHeads>();
+        check_greedy_deterministic::<FactoredHeads>();
     }
 
     #[test]
-    fn fleet_batched_stochastic_consumes_rng_in_sequential_order() {
-        let (store, net, env, _) = setup_fleet();
-        let mut env_b = CrowdsensingEnv::new(env.config().clone());
-        let acts: Vec<WorkerAction> = (0..env.config().num_workers)
-            .map(|_| WorkerAction { movement: Move::from_index(2), charge: false })
-            .collect();
-        let _ = env_b.step(&acts);
-
-        let opts = PolicyOptions::default();
-        let mut rng_batched = StdRng::seed_from_u64(77);
-        let batched = sample_actions_fleet(&net, &store, &[&env, &env_b], opts, &mut rng_batched);
-
-        let mut rng_seq = StdRng::seed_from_u64(77);
-        let first = sample_action_fleet(&net, &store, &env, opts, &mut rng_seq);
-        let second = sample_action_fleet(&net, &store, &env_b, opts, &mut rng_seq);
-        assert_eq!(batched[0].moves, first.moves);
-        assert_eq!(batched[0].charges, first.charges);
-        assert_eq!(batched[1].moves, second.moves);
-        assert_eq!(batched[1].charges, second.charges);
+    fn masking_prevents_invalid_choices() {
+        check_masking::<JointHeads>();
     }
 
     #[test]
     fn fleet_masking_prevents_invalid_choices() {
-        let (store, net, mut env, mut rng) = setup_fleet();
-        env.teleport_worker(0, Point::new(0.0, 0.0));
-        let opts = PolicyOptions { mode: SampleMode::Stochastic, mask_invalid: true };
-        for _ in 0..50 {
-            let a = sample_action_fleet(&net, &store, &env, opts, &mut rng);
-            let mask = env.valid_moves(0);
-            assert!(mask[a.moves[0]], "sampled a masked move {:?}", a.moves[0]);
-            if !env.can_charge(0) {
-                assert_eq!(a.charges[0], 0, "sampled charge while out of range");
-            }
-        }
+        check_masking::<FactoredHeads>();
+    }
+
+    #[test]
+    fn state_value_matches_sampled_value() {
+        check_state_value_matches_sampled_value::<JointHeads>();
     }
 
     #[test]
     fn fleet_state_values_match_sampled_values() {
-        let (store, net, env, mut rng) = setup_fleet();
-        let vs = state_values_fleet(&net, &store, &[&env]);
-        let a = sample_action_fleet(&net, &store, &env, PolicyOptions::default(), &mut rng);
-        assert_eq!(vs[0].to_bits(), a.value.to_bits());
-        assert!(
-            sample_actions_fleet(&net, &store, &[], PolicyOptions::default(), &mut rng).is_empty()
-        );
-        assert!(state_values_fleet(&net, &store, &[]).is_empty());
+        check_state_value_matches_sampled_value::<FactoredHeads>();
+        check_empty_batch::<FactoredHeads>();
+    }
+
+    #[test]
+    fn batched_greedy_matches_sequential_bitwise() {
+        check_batched_greedy_matches_sequential::<JointHeads>();
+    }
+
+    #[test]
+    fn fleet_batched_greedy_matches_sequential_bitwise() {
+        check_batched_greedy_matches_sequential::<FactoredHeads>();
+    }
+
+    #[test]
+    fn batched_stochastic_consumes_rng_in_sequential_order() {
+        check_batched_rng_order::<JointHeads>();
+    }
+
+    #[test]
+    fn fleet_batched_stochastic_consumes_rng_in_sequential_order() {
+        check_batched_rng_order::<FactoredHeads>();
     }
 
     #[test]
     fn state_values_batched_matches_singles() {
-        let (store, net, env, _) = setup();
-        let mut env_b = CrowdsensingEnv::new(env.config().clone());
-        let acts: Vec<WorkerAction> = (0..env.config().num_workers)
-            .map(|_| WorkerAction { movement: Move::from_index(3), charge: false })
-            .collect();
-        let _ = env_b.step(&acts);
-        let vs = state_values_batched(&net, &store, &[&env, &env_b]);
-        assert_eq!(vs.len(), 2);
-        assert_eq!(vs[0].to_bits(), state_value(&net, &store, &env).to_bits());
-        assert_eq!(vs[1].to_bits(), state_value(&net, &store, &env_b).to_bits());
+        check_state_values_batched_matches_singles::<JointHeads>();
+        check_state_values_batched_matches_singles::<FactoredHeads>();
     }
 
     #[test]
     fn empty_batch_is_empty() {
-        let (store, net, _, mut rng) = setup();
-        assert!(sample_actions_batched(&net, &store, &[], PolicyOptions::default(), &mut rng)
-            .is_empty());
-        assert!(state_values_batched(&net, &store, &[]).is_empty());
+        check_empty_batch::<JointHeads>();
     }
 }

@@ -64,7 +64,7 @@ fn factored_policy_rolls_a_thousand_worker_fleet() {
     );
 
     for _ in 0..3 {
-        let sampled = sample_action_fleet(&net, &store, &env, PolicyOptions::default(), &mut rng);
+        let sampled = sample_action(&net, &store, &env, PolicyOptions::default(), &mut rng);
         assert_eq!(sampled.actions.len(), WORKERS);
         assert!(sampled.logp.is_finite());
         assert!(sampled.value.is_finite());
@@ -76,7 +76,7 @@ fn factored_policy_rolls_a_thousand_worker_fleet() {
     // The factored heads keep the parameter count fleet-size-agnostic up to
     // the per-worker embedding rows — a joint head over 9^1000 · 2^1000
     // actions could not even be constructed.
-    let values = state_values_fleet(&net, &store, &[&env]);
+    let values = state_values_batched(&net, &store, &[&env]);
     assert_eq!(values.len(), 1);
     assert!(values[0].is_finite());
 }
