@@ -1,5 +1,6 @@
 //! Kernel & episode benchmark trajectory: times the dense-kernel hot path
-//! (naive vs blocked GEMM, whole-batch conv forward/backward) and one real
+//! (naive vs blocked GEMM, whole-batch conv forward/backward, and the paper
+//! trunk's three convs at batch 1, 100 and 250) and one real
 //! training episode, then appends a run record to `BENCH_kernels.json` so
 //! the perf history accumulates commit over commit.
 //!
@@ -251,19 +252,24 @@ fn bench_ppo_update(iters: u64, out: &mut Vec<Rec>) {
     });
 }
 
-fn bench_conv(iters: u64, out: &mut Vec<Rec>) {
-    // The paper's CNN encoder front: [B=32, 3, 16, 16], 3→16 channels, 3x3.
-    let cfg = ConvCfg { in_channels: 3, out_channels: 16, kernel: 3, stride: 1, padding: 1 };
-    let (bsz, h, w) = (32usize, 16usize, 16usize);
-    let x = Tensor::from_vec(&[bsz, 3, h, w], lcg_fill(3, bsz * 3 * h * w));
-    let wt = Tensor::from_vec(&[16, 3, 3, 3], lcg_fill(4, 16 * 3 * 9));
-    let bias = Tensor::from_vec(&[16], lcg_fill(5, 16));
-    let (ho, wo) = (cfg.out_size(h).unwrap(), cfg.out_size(w).unwrap());
-    let patch = 3 * 9;
-    let flops = 2.0 * (bsz * 16 * ho * wo * patch) as f64;
-    let shape = format!("b{bsz}c3->16 {h}x{w}k3");
+/// Times `conv2d_forward` and a full `conv2d_backward` (input, weight and
+/// bias gradients) of one layer on an `[bsz, C_in, side, side]` input.
+fn bench_conv_case(
+    cfg: ConvCfg,
+    bsz: usize,
+    side: usize,
+    shape: String,
+    (iters, reps): (u64, u32),
+    out: &mut Vec<Rec>,
+) {
+    let (cin, cout, k) = (cfg.in_channels, cfg.out_channels, cfg.kernel);
+    let x = Tensor::from_vec(&[bsz, cin, side, side], lcg_fill(3, bsz * cin * side * side));
+    let wt = Tensor::from_vec(&[cout, cin, k, k], lcg_fill(4, cout * cin * k * k));
+    let bias = Tensor::from_vec(&[cout], lcg_fill(5, cout));
+    let so = cfg.out_size(side).unwrap();
+    let flops = 2.0 * (bsz * cout * so * so * cin * k * k) as f64;
 
-    let ns = time_ns(iters, || {
+    let ns = time_ns_reps(iters, reps, || {
         std::hint::black_box(conv2d_forward(std::hint::black_box(&x), &wt, &bias, &cfg));
     });
     out.push(Rec {
@@ -277,7 +283,7 @@ fn bench_conv(iters: u64, out: &mut Vec<Rec>) {
 
     let f = conv2d_forward(&x, &wt, &bias, &cfg);
     let gout = Tensor::ones(f.output.shape());
-    let ns = time_ns(iters, || {
+    let ns = time_ns_reps(iters, reps, || {
         std::hint::black_box(conv2d_backward(
             std::hint::black_box(&gout),
             &f.cols,
@@ -294,6 +300,48 @@ fn bench_conv(iters: u64, out: &mut Vec<Rec>) {
         ns_per_iter: ns,
         flops: 2.0 * flops, // two whole-batch GEMMs of forward volume
     });
+}
+
+fn bench_conv(iters: u64, out: &mut Vec<Rec>) {
+    // The paper's CNN encoder front: [B=32, 3, 16, 16], 3→16 channels, 3x3.
+    let cfg = ConvCfg { in_channels: 3, out_channels: 16, kernel: 3, stride: 1, padding: 1 };
+    bench_conv_case(cfg, 32, 16, "b32c3->16 16x16k3".into(), (iters, 1), out);
+}
+
+/// The paper trunk's three convs (Section V-B) on the paper grid at a
+/// rollout batch (1), the trainer's minibatch (100) and a large batch (250).
+fn bench_conv_ladder(smoke: bool, out: &mut Vec<Rec>) {
+    let layers = [
+        (
+            "conv1",
+            ConvCfg { in_channels: 3, out_channels: 8, kernel: 3, stride: 2, padding: 1 },
+            16,
+        ),
+        (
+            "conv2",
+            ConvCfg { in_channels: 8, out_channels: 16, kernel: 3, stride: 2, padding: 1 },
+            8,
+        ),
+        (
+            "conv3",
+            ConvCfg { in_channels: 16, out_channels: 16, kernel: 3, stride: 1, padding: 1 },
+            4,
+        ),
+    ];
+    for bsz in [1usize, 100, 250] {
+        let timing = match (smoke, bsz) {
+            (true, _) => (2, 1),
+            (false, 1) => (2000, 5),
+            (false, _) => (20, 5),
+        };
+        for (name, cfg, side) in layers {
+            let shape = format!(
+                "{name} b{bsz}c{}->{} {side}x{side}k3s{}",
+                cfg.in_channels, cfg.out_channels, cfg.stride
+            );
+            bench_conv_case(cfg, bsz, side, shape, timing, out);
+        }
+    }
 }
 
 fn bench_episode(iters: u64, out: &mut Vec<Rec>) {
@@ -540,6 +588,7 @@ fn main() {
     // which needs statistically meaningful numbers.
     bench_matmuls(20, &mut recs);
     bench_conv(iters, &mut recs);
+    bench_conv_ladder(smoke, &mut recs);
     bench_rollout_step(if smoke { 2 } else { 10 }, &mut recs);
     bench_ppo_update(if smoke { 1 } else { 5 }, &mut recs);
     bench_episode(if smoke { 1 } else { 3 }, &mut recs);

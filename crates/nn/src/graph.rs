@@ -19,7 +19,7 @@
 
 use crate::arena;
 use crate::op::Op;
-use crate::ops::conv::{conv2d_backward, conv2d_forward, ConvCfg};
+use crate::ops::conv::{conv2d_forward, conv2d_input_grad, conv2d_weight_grads, ConvCfg};
 use crate::ops::norm::{layer_norm_backward, layer_norm_forward};
 use crate::ops::softmax::{log_softmax_backward, log_softmax_rows, softmax_backward, softmax_rows};
 use crate::param::{ParamId, ParamStore};
@@ -795,10 +795,15 @@ impl Graph {
                     let x = node.parents[0];
                     let w = node.parents[1];
                     let b = node.parents[2];
-                    let g = conv2d_backward(&gout, cols, self.value(w), self.value(x).shape(), cfg);
-                    send(&mut grads, x, g.gx);
-                    send(&mut grads, w, g.gw);
-                    send(&mut grads, b, g.gb);
+                    // The state leaf feeding the first conv needs no
+                    // gradient: skip its GEMM and col2im outright.
+                    if relevant(x) {
+                        let xs = self.value(x).shape();
+                        send(&mut grads, x, conv2d_input_grad(&gout, self.value(w), xs, cfg));
+                    }
+                    let (gw, gb) = conv2d_weight_grads(&gout, cols, cfg);
+                    send(&mut grads, w, gw);
+                    send(&mut grads, b, gb);
                 }
                 Op::LayerNorm { ctx } => {
                     let x = node.parents[0];
@@ -1110,6 +1115,35 @@ mod tests {
             &x0,
             2e-2,
         );
+    }
+
+    #[test]
+    fn conv_on_a_state_leaf_skips_only_the_input_gradient() {
+        // `backward` drops the gradient of a leaf that needs none, so it
+        // never computes it; `grad_of` still does. Both must give exactly
+        // the gradients of the op-level backward.
+        let cfg = ConvCfg { in_channels: 2, out_channels: 3, kernel: 3, stride: 2, padding: 1 };
+        let x0 =
+            Tensor::from_vec(&[2, 2, 5, 5], (0..100).map(|i| (i as f32 * 0.37).sin()).collect());
+        let mut store = ParamStore::new();
+        let w0 =
+            Tensor::from_vec(&[3, 2, 3, 3], (0..54).map(|i| (i as f32 * 0.21).cos()).collect());
+        let wid = store.add("w", w0.clone());
+        let bid = store.add("b", Tensor::from_vec(&[3], vec![0.1, -0.2, 0.3]));
+        let mut g = Graph::new();
+        let x = g.leaf(x0.clone());
+        let w = g.param(&store, wid);
+        let b = g.param(&store, bid);
+        let y = g.conv2d(x, w, b, cfg);
+        let loss = g.sum_all(y);
+        g.backward(loss, &mut store);
+
+        let f = crate::ops::conv::conv2d_forward(&x0, &w0, store.value(bid), &cfg);
+        let gout = Tensor::ones(f.output.shape());
+        let want = crate::ops::conv::conv2d_backward(&gout, &f.cols, &w0, x0.shape(), &cfg);
+        assert_eq!(store.grad(wid).data(), want.gw.data());
+        assert_eq!(store.grad(bid).data(), want.gb.data());
+        assert_eq!(g.grad_of(loss, x).expect("input gradient").data(), want.gx.data());
     }
 
     #[test]

@@ -98,8 +98,8 @@ pub enum Op {
     Conv2d {
         /// Shape/stride/padding of the convolution.
         cfg: ConvCfg,
-        /// Saved whole-batch column matrix `[C_in*K*K, B*HO*WO]` for the
-        /// backward pass.
+        /// Saved pixel-major column matrix `colsT: [B*HO*WO, C_in*K*K]`,
+        /// row-major: the B operand of the weight-gradient GEMM as it lies.
         cols: Tensor,
     },
     /// Layer norm over the trailing dimension; saves per-row statistics.

@@ -1,33 +1,61 @@
-//! 2-D convolution via a whole-batch im2col lowering, with an exact
+//! 2-D convolution lowered pixel-major onto the blocked GEMM, with an exact
 //! backward pass.
 //!
 //! Layout conventions:
 //! * input `x`: `[B, C_in, H, W]`
-//! * weight `w`: `[C_out, C_in, KH, KW]`
+//! * weight `w`: `[C_out, C_in, K, K]`
 //! * bias `b`: `[C_out]`
 //! * output: `[B, C_out, HO, WO]`
 //!
-//! The forward pass lowers the *entire batch* to one column matrix
-//! `[C_in*KH*KW, B*HO*WO]` (batch items side by side along the column axis)
-//! and runs a single blocked GEMM against the weight viewed as
-//! `[C_out, C_in*KH*KW]` — one GEMM per layer instead of one per batch
-//! item, with no intermediate copies of the column buffer. The column
-//! matrix is saved in the graph node so the backward pass is two more
-//! whole-batch GEMMs plus a `col2im` scatter.
+//! ## Orientation
 //!
-//! The im2col fill, the bias/scatter epilogue and the col2im scatter run
-//! sequentially through [`crate::ops::gemm::par_items`]: the fills are
-//! memory-bandwidth-bound, so the old per-call scoped threads cost more
-//! than they saved, and routing them through the persistent kernel pool
-//! would require copying the inputs (roughly the price of the fill itself).
-//! The parallel GEMMs go through the pool; everything is bit-identical for
-//! every thread count. All scratch buffers come from [`crate::arena`], so
-//! steady-state conv layers allocate nothing.
+//! Output pixels are GEMM rows and `C_out` is the GEMM column axis. The
+//! forward pass gathers the whole batch into one column matrix
+//! `colsT: [B·HO·WO, C_in·K·K]` (row `n = (b, oy, ox)`, column
+//! `q = (ci, ky, kx)`, row-major) and computes `colsT · Wᵀ`; `C_out ≤ 16`
+//! fits one micro-kernel panel. One epilogue pass adds the bias and stores
+//! `[B, C_out, HO, WO]`, so the layer boundary stays NCHW. `colsT` is the
+//! saved operand of [`crate::op::Op::Conv2d`], and the backward pass is
+//! * `dW = gout_r · colsT` with `gout_r: [C_out, B·HO·WO]` — `colsT` is
+//!   already the row-major B operand, so nothing is transposed;
+//! * `dcolsT = goutᵀ · W`, then a gather-form col2im that writes each input
+//!   gradient element once.
+//!
+//! [`conv2d_backward`] is `conv2d_weight_grads` plus `conv2d_input_grad`;
+//! the autograd tape calls the second only when the input needs a gradient.
+//!
+//! ## Geometry
+//!
+//! Which input element feeds which `colsT` entry depends only on
+//! `(cfg, H, W)`. Each thread builds that index geometry once per shape and
+//! keeps it in a small cache, so the fill and the col2im are straight
+//! table-driven loops with no per-element border test, and steady-state
+//! calls allocate nothing. The fill reads a zero-bordered copy of one batch item,
+//! so padding taps need no special case either.
+//!
+//! ## Bitwise equality with direct loops
+//!
+//! The lowering moves values, never the order they are summed in, so results
+//! equal the plain nested loops bit for bit (pinned by
+//! `crates/nn/tests/conv_equivalence.rs`):
+//! * forward — each output is one ascending-`(ci, ky, kx)` FMA chain over
+//!   its patch, padding taps included, then `+ bias`. `fma` commutes in its
+//!   two factors and the GEMM's `k` blocking reloads rather than
+//!   reassociates, so the row/column swap changes nothing;
+//! * `dW` — one ascending-pixel chain per weight;
+//! * `dcolsT` — one ascending-`C_out` chain per entry; each input element
+//!   then sums its taps in ascending `(ky, kx)` from `+0.0`;
+//! * `gb` — a sequential sum in ascending `(b, oy, ox)`.
+//!
+//! Every thread count and both micro-kernel flavors give the same bits.
+//! Scratch comes from [`crate::arena`].
 
 use crate::arena;
 use crate::ops::gemm;
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// Static configuration of a convolution (shapes, stride, padding).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
@@ -54,126 +82,142 @@ impl ConvCfg {
         }
         Some((padded - self.kernel) / self.stride + 1)
     }
-}
 
-/// Lowers one batch item `[C, H, W]` (slice of length C*H*W) into a column
-/// matrix `[C*K*K, HO*WO]` written into `cols`.
-#[allow(clippy::too_many_arguments)] // mirrors the kernel's natural signature
-pub fn im2col(
-    x: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    cfg: &ConvCfg,
-    ho: usize,
-    wo: usize,
-    cols: &mut [f32],
-) {
-    let k = cfg.kernel;
-    debug_assert_eq!(cols.len(), c * k * k * ho * wo);
-    im2col_rows(x, c, h, w, cfg, ho, wo, 1, 0, cols);
-}
-
-/// Fills rows `row0..row0 + chunk.len()/(bsz*ho*wo)` of the *batched*
-/// column matrix `[C*K*K, B*HO*WO]`. Each row is one `(channel, ky, kx)`
-/// patch coordinate spanning every batch item, so disjoint row ranges can
-/// be filled by different threads.
-#[allow(clippy::too_many_arguments)] // mirrors the kernel's natural signature
-fn im2col_rows(
-    x: &[f32],
-    c: usize,
-    h: usize,
-    w: usize,
-    cfg: &ConvCfg,
-    ho: usize,
-    wo: usize,
-    bsz: usize,
-    row0: usize,
-    chunk: &mut [f32],
-) {
-    let k = cfg.kernel;
-    let n_spatial = ho * wo;
-    let cols_w = bsz * n_spatial;
-    let item_len = c * h * w;
-    for (dr, row_out) in chunk.chunks_mut(cols_w).enumerate() {
-        let row = row0 + dr;
-        let ch = row / (k * k);
-        let ky = (row / k) % k;
-        let kx = row % k;
-        debug_assert!(ch < c, "im2col row {row} out of range");
-        for (bi, dst) in row_out.chunks_mut(n_spatial).enumerate() {
-            let x_ch = &x[bi * item_len + ch * h * w..bi * item_len + (ch + 1) * h * w];
-            for oy in 0..ho {
-                let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
-                for ox in 0..wo {
-                    let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
-                    let v = if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                        x_ch[iy as usize * w + ix as usize]
-                    } else {
-                        0.0
-                    };
-                    dst[oy * wo + ox] = v;
-                }
-            }
-        }
+    /// Patch length `C_in·K·K`: the column count of `colsT`.
+    fn patch(&self) -> usize {
+        self.in_channels * self.kernel * self.kernel
     }
 }
 
-/// Inverse of [`im2col`]: scatter-adds a column-matrix gradient back onto the
-/// input gradient of one batch item.
-#[allow(clippy::too_many_arguments)] // mirrors the kernel's natural signature
-pub fn col2im(
-    gcols: &[f32],
-    c: usize,
+/// Index geometry of one `(cfg, H, W)` convolution over a single batch item.
+struct Geometry {
+    cfg: ConvCfg,
     h: usize,
     w: usize,
-    cfg: &ConvCfg,
     ho: usize,
     wo: usize,
-    gx: &mut [f32],
-) {
-    debug_assert_eq!(gcols.len(), c * cfg.kernel * cfg.kernel * ho * wo);
-    col2im_strided(gcols, ho * wo, 0, c, h, w, cfg, ho, wo, gx);
+    /// `fill[n·patch + q]`: where tap `q` of output pixel `n` sits in the
+    /// zero-bordered item `[C_in, H + 2p, W + 2p]`.
+    fill: Vec<u32>,
+    /// The `colsT` entries (`n·patch + q`, within one item) that read input
+    /// element `e` are `taps[tap_start[e]..tap_start[e + 1]]`, in ascending
+    /// `(ky, kx)`.
+    tap_start: Vec<u32>,
+    taps: Vec<u32>,
 }
 
-/// [`col2im`] over one batch item's column block inside a batched column
-/// matrix: rows have stride `row_stride` and the item's columns start at
-/// `col0`.
-#[allow(clippy::too_many_arguments)] // mirrors the kernel's natural signature
-fn col2im_strided(
-    gcols: &[f32],
-    row_stride: usize,
-    col0: usize,
-    c: usize,
-    h: usize,
-    w: usize,
-    cfg: &ConvCfg,
-    ho: usize,
-    wo: usize,
-    gx: &mut [f32],
-) {
-    let k = cfg.kernel;
-    debug_assert_eq!(gx.len(), c * h * w);
-    for ch in 0..c {
-        for ky in 0..k {
-            for kx in 0..k {
-                let row = (ch * k + ky) * k + kx;
-                let base = row * row_stride + col0;
-                for oy in 0..ho {
-                    let iy = (oy * cfg.stride + ky) as isize - cfg.padding as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..wo {
-                        let ix = (ox * cfg.stride + kx) as isize - cfg.padding as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+impl Geometry {
+    fn new(cfg: &ConvCfg, h: usize, w: usize, ho: usize, wo: usize) -> Self {
+        let (c, k, s, p) = (cfg.in_channels, cfg.kernel, cfg.stride, cfg.padding);
+        let (hp, wp) = (h + 2 * p, w + 2 * p);
+        let patch = cfg.patch();
+        let idx = |v: usize| {
+            assert!(u32::try_from(v).is_ok(), "conv geometry index {v} exceeds u32");
+            v as u32
+        };
+
+        let mut fill = Vec::with_capacity(ho * wo * patch);
+        for oy in 0..ho {
+            for ox in 0..wo {
+                for ci in 0..c {
+                    for ky in 0..k {
+                        for kx in 0..k {
+                            fill.push(idx((ci * hp + oy * s + ky) * wp + ox * s + kx));
                         }
-                        gx[(ch * h + iy as usize) * w + ix as usize] += gcols[base + oy * wo + ox];
                     }
                 }
             }
         }
+
+        // Output coordinate whose tap `kk` reads padded coordinate `ip`.
+        let source = |ip: usize, kk: usize, out: usize| {
+            let d = ip.checked_sub(kk)?;
+            (d % s == 0 && d / s < out).then_some(d / s)
+        };
+        let mut tap_start = Vec::with_capacity(c * h * w + 1);
+        let mut taps = Vec::with_capacity(ho * wo * patch);
+        tap_start.push(0);
+        for ci in 0..c {
+            for iy in 0..h {
+                for ix in 0..w {
+                    for ky in 0..k {
+                        let Some(oy) = source(iy + p, ky, ho) else { continue };
+                        for kx in 0..k {
+                            let Some(ox) = source(ix + p, kx, wo) else { continue };
+                            taps.push(idx((oy * wo + ox) * patch + (ci * k + ky) * k + kx));
+                        }
+                    }
+                    tap_start.push(idx(taps.len()));
+                }
+            }
+        }
+        Self { cfg: *cfg, h, w, ho, wo, fill, tap_start, taps }
+    }
+}
+
+/// Geometries kept per thread; a model has a handful of conv shapes.
+const GEOMETRY_CACHE: usize = 16;
+
+thread_local! {
+    static GEOMETRIES: RefCell<Vec<Rc<Geometry>>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The cached geometry for `(cfg, h, w)`, built on first use. Panics with
+/// [`crate::error::NnError::KernelTooLarge`] if the kernel does not fit.
+fn geometry(cfg: &ConvCfg, h: usize, w: usize) -> Rc<Geometry> {
+    GEOMETRIES.with(|cache| {
+        let mut cache = cache.borrow_mut();
+        if let Some(g) = cache.iter().find(|g| g.cfg == *cfg && g.h == h && g.w == w) {
+            return Rc::clone(g);
+        }
+        let out_size = |input: usize| {
+            cfg.out_size(input).unwrap_or_else(|| {
+                panic!(
+                    "{}",
+                    crate::error::NnError::KernelTooLarge {
+                        input,
+                        kernel: cfg.kernel,
+                        padding: cfg.padding,
+                    }
+                )
+            })
+        };
+        let g = Rc::new(Geometry::new(cfg, h, w, out_size(h), out_size(w)));
+        if cache.len() == GEOMETRY_CACHE {
+            cache.remove(0);
+        }
+        cache.push(Rc::clone(&g));
+        g
+    })
+}
+
+/// Gathers `x: [B, C_in, H, W]` into `colsT: [B·HO·WO, C_in·K·K]`, appended
+/// to the empty `cols`.
+fn im2col(x: &[f32], geo: &Geometry, cols: &mut Vec<f32>) {
+    let (c, h, w, p) = (geo.cfg.in_channels, geo.h, geo.w, geo.cfg.padding);
+    let (hp, wp) = (h + 2 * p, w + 2 * p);
+    // The border stays zero; each item overwrites only the interior.
+    let mut padded = arena::take_f32_zeroed(c * hp * wp);
+    for item in x.chunks_exact(c * h * w) {
+        for (r, row) in item.chunks_exact(w).enumerate() {
+            let (ci, iy) = (r / h, r % h);
+            let at = (ci * hp + iy + p) * wp + p;
+            padded[at..at + w].copy_from_slice(row);
+        }
+        cols.extend(geo.fill.iter().map(|&t| padded[t as usize]));
+    }
+    arena::put_f32(padded);
+}
+
+/// Sums each input element's taps of `dcolsT: [B·HO·WO, C_in·K·K]`, giving
+/// the input gradient `[B, C_in, H, W]` appended to the empty `gx`.
+fn col2im(dcols: &[f32], geo: &Geometry, gx: &mut Vec<f32>) {
+    for item in dcols.chunks_exact(geo.ho * geo.wo * geo.cfg.patch()) {
+        gx.extend(geo.tap_start.windows(2).map(|e| {
+            geo.taps[e[0] as usize..e[1] as usize]
+                .iter()
+                .fold(0.0f32, |acc, &t| acc + item[t as usize])
+        }));
     }
 }
 
@@ -182,7 +226,7 @@ fn col2im_strided(
 pub struct ConvForward {
     /// Convolution output, `[B, C_out, HO, WO]`.
     pub output: Tensor,
-    /// The whole-batch column matrix, `[C_in*K*K, B*HO*WO]`.
+    /// The whole-batch column matrix `colsT`, `[B·HO·WO, C_in·K·K]`.
     pub cols: Tensor,
 }
 
@@ -197,59 +241,32 @@ pub fn conv2d_forward(x: &Tensor, w: &Tensor, b: &Tensor, cfg: &ConvCfg) -> Conv
         "weight shape mismatch"
     );
     assert_eq!(b.shape(), &[cfg.out_channels], "bias shape mismatch");
-    let out_size_or_panic = |input: usize| {
-        cfg.out_size(input).unwrap_or_else(|| {
-            panic!(
-                "{}",
-                crate::error::NnError::KernelTooLarge {
-                    input,
-                    kernel: cfg.kernel,
-                    padding: cfg.padding,
-                }
-            )
-        })
-    };
-    let ho = out_size_or_panic(h);
-    let wo = out_size_or_panic(wd);
-    let patch = c * cfg.kernel * cfg.kernel;
-    let n_spatial = ho * wo;
-    let cols_w = bsz * n_spatial;
+    let geo = geometry(cfg, h, wd);
+    let (co, patch, ns) = (cfg.out_channels, cfg.patch(), geo.ho * geo.wo);
+    let n = bsz * ns;
     let threads = gemm::kernel_threads();
 
-    // Lower the whole batch into one [patch, B*HO*WO] column matrix,
-    // writing directly into the saved buffer (one row of patch coordinates
-    // per parallel item).
-    let mut cols_all = arena::take_f32_zeroed(patch * cols_w);
-    gemm::par_items(&mut cols_all, cols_w, patch, threads, |row0, chunk| {
-        im2col_rows(x.data(), c, h, wd, cfg, ho, wo, bsz, row0, chunk);
-    });
+    let mut cols = arena::take_f32(n * patch);
+    im2col(x.data(), &geo, &mut cols);
 
-    // One GEMM for the whole batch: W [C_out, patch] · cols [patch, B*ns].
-    // The weight tensor is already contiguous in that layout — no reshape
-    // copy needed.
-    let mut y = arena::take_f32_zeroed(cfg.out_channels * cols_w);
-    gemm::gemm(w.data(), &cols_all, &mut y, cfg.out_channels, patch, cols_w, threads);
+    // y = colsT · Wᵀ: [B·HO·WO, C_out].
+    let mut wt = arena::take_f32(patch * co);
+    gemm::transpose_into(w.data(), co, patch, &mut wt);
+    let mut y = arena::take_f32_zeroed(n * co);
+    gemm::gemm(&cols, &wt, &mut y, n, patch, co, threads);
 
-    // Scatter [C_out, B*ns] → [B, C_out, ns], adding the bias; parallel
-    // over batch items.
-    let item_len = cfg.out_channels * n_spatial;
-    let mut out = arena::take_f32_zeroed(bsz * item_len);
-    gemm::par_items(&mut out, item_len, bsz, threads, |bi0, chunk| {
-        for (d, item) in chunk.chunks_mut(item_len).enumerate() {
-            let bi = bi0 + d;
-            for co in 0..cfg.out_channels {
-                let src = &y[co * cols_w + bi * n_spatial..co * cols_w + (bi + 1) * n_spatial];
-                let bias = b.data()[co];
-                for (dst, &s) in item[co * n_spatial..(co + 1) * n_spatial].iter_mut().zip(src) {
-                    *dst = s + bias;
-                }
-            }
+    // Epilogue: bias add and the NCHW store in one pass.
+    let mut out = arena::take_f32(n * co);
+    for item in y.chunks_exact(ns * co) {
+        for (ch, &bias) in b.data().iter().enumerate() {
+            out.extend(item.chunks_exact(co).map(|px| px[ch] + bias));
         }
-    });
+    }
+    arena::put_f32(wt);
     arena::put_f32(y);
     ConvForward {
-        output: Tensor::from_vec(&[bsz, cfg.out_channels, ho, wo], out),
-        cols: Tensor::from_vec(&[patch, cols_w], cols_all),
+        output: Tensor::from_vec(&[bsz, co, geo.ho, geo.wo], out),
+        cols: Tensor::from_vec(&[n, patch], cols),
     }
 }
 
@@ -264,8 +281,8 @@ pub struct ConvGrads {
 }
 
 /// Backward convolution given the upstream gradient `gout` (`[B,C_out,HO,WO]`),
-/// the saved whole-batch column matrix, the weight, and the original input
-/// shape. Two whole-batch GEMMs plus a parallel `col2im` scatter.
+/// the saved column matrix `colsT`, the weight, and the original input
+/// shape: `conv2d_weight_grads` plus `conv2d_input_grad`.
 pub fn conv2d_backward(
     gout: &Tensor,
     cols: &Tensor,
@@ -273,77 +290,64 @@ pub fn conv2d_backward(
     x_shape: &[usize],
     cfg: &ConvCfg,
 ) -> ConvGrads {
-    let (bsz, c, h, wd) = (x_shape[0], x_shape[1], x_shape[2], x_shape[3]);
-    let ho = gout.shape()[2];
-    let wo = gout.shape()[3];
-    let patch = c * cfg.kernel * cfg.kernel;
-    let n_spatial = ho * wo;
-    let cols_w = bsz * n_spatial;
-    debug_assert_eq!(cols.shape(), &[patch, cols_w], "saved column matrix shape");
-    let threads = gemm::kernel_threads();
+    let (gw, gb) = conv2d_weight_grads(gout, cols, cfg);
+    ConvGrads { gx: conv2d_input_grad(gout, w, x_shape, cfg), gw, gb }
+}
 
-    // Rearrange gout [B, C_out, ns] → [C_out, B*ns] so the whole batch is
-    // one GEMM operand; parallel over output-channel rows.
-    let mut gout_r = arena::take_f32_zeroed(cfg.out_channels * cols_w);
-    gemm::par_items(&mut gout_r, cols_w, cfg.out_channels, threads, |co0, chunk| {
-        for (d, row) in chunk.chunks_mut(cols_w).enumerate() {
-            let co = co0 + d;
-            for (bi, dst) in row.chunks_mut(n_spatial).enumerate() {
-                let src = bi * cfg.out_channels * n_spatial + co * n_spatial;
-                dst.copy_from_slice(&gout.data()[src..src + n_spatial]);
-            }
+/// Weight and bias gradients `(gw, gb)` from the upstream gradient and the
+/// saved `colsT`: `gw = gout_r · colsT`, one GEMM, no transpose.
+pub(crate) fn conv2d_weight_grads(gout: &Tensor, cols: &Tensor, cfg: &ConvCfg) -> (Tensor, Tensor) {
+    let (co, patch) = (cfg.out_channels, cfg.patch());
+    let n = cols.shape()[0];
+    assert_eq!(cols.shape(), &[n, patch], "saved column matrix shape");
+    assert_eq!(gout.numel(), n * co, "upstream gradient size");
+
+    // gout [B, C_out, ns] → gout_r [C_out, B·ns].
+    let ns = gout.shape()[2] * gout.shape()[3];
+    let mut gout_r = arena::take_f32(co * n);
+    for ch in 0..co {
+        for item in gout.data().chunks_exact(co * ns) {
+            gout_r.extend_from_slice(&item[ch * ns..(ch + 1) * ns]);
         }
-    });
-
-    // db = Σ_{batch, spatial} gout.
-    let mut gb = Tensor::zeros(&[cfg.out_channels]);
-    for (co, row) in gout_r.chunks_exact(cols_w).enumerate() {
-        gb.data_mut()[co] = row.iter().sum::<f32>();
     }
-
-    // dW = gout_r · colsᵀ — one whole-batch GEMM.
-    let mut scratch = arena::take_f32(patch * cols_w);
-    let mut gw_mat = arena::take_f32_zeroed(cfg.out_channels * patch);
-    gemm::gemm_nt(
-        &gout_r,
-        cols.data(),
-        &mut gw_mat,
-        cfg.out_channels,
-        cols_w,
-        patch,
-        &mut scratch,
-        threads,
-    );
-
-    // dcols = Wᵀ · gout_r — one whole-batch GEMM, then scattered back onto
-    // the input gradient in parallel over batch items.
-    let mut gcols = arena::take_f32_zeroed(patch * cols_w);
-    gemm::gemm_tn(
-        w.data(),
-        &gout_r,
-        &mut gcols,
-        patch,
-        cfg.out_channels,
-        cols_w,
-        &mut scratch,
-        threads,
-    );
-    let mut gx = Tensor::zeros(x_shape);
-    let item_len = c * h * wd;
-    gemm::par_items(gx.data_mut(), item_len, bsz, threads, |bi0, chunk| {
-        for (d, gx_item) in chunk.chunks_mut(item_len).enumerate() {
-            let bi = bi0 + d;
-            col2im_strided(&gcols, cols_w, bi * n_spatial, c, h, wd, cfg, ho, wo, gx_item);
-        }
-    });
-    arena::put_f32(scratch);
+    let mut gb = Tensor::zeros(&[co]);
+    for (g, row) in gb.data_mut().iter_mut().zip(gout_r.chunks_exact(n)) {
+        *g = row.iter().sum::<f32>();
+    }
+    let mut gw = arena::take_f32_zeroed(co * patch);
+    gemm::gemm(&gout_r, cols.data(), &mut gw, co, n, patch, gemm::kernel_threads());
     arena::put_f32(gout_r);
-    arena::put_f32(gcols);
-    ConvGrads {
-        gx,
-        gw: Tensor::from_vec(&[cfg.out_channels, cfg.in_channels, cfg.kernel, cfg.kernel], gw_mat),
-        gb,
+    (Tensor::from_vec(&[co, cfg.in_channels, cfg.kernel, cfg.kernel], gw), gb)
+}
+
+/// Input gradient `[B, C_in, H, W]`: `dcolsT = goutᵀ · W`, then a
+/// gather-form col2im.
+pub(crate) fn conv2d_input_grad(
+    gout: &Tensor,
+    w: &Tensor,
+    x_shape: &[usize],
+    cfg: &ConvCfg,
+) -> Tensor {
+    assert_eq!(x_shape.len(), 4, "conv input must be [B,C,H,W]");
+    let geo = geometry(cfg, x_shape[2], x_shape[3]);
+    let (co, patch, ns) = (cfg.out_channels, cfg.patch(), geo.ho * geo.wo);
+    let n = x_shape[0] * ns;
+    assert_eq!(gout.numel(), n * co, "upstream gradient size");
+
+    // gout [B, C_out, ns] → goutT [B·ns, C_out].
+    let mut gout_t = arena::take_f32(n * co);
+    for item in gout.data().chunks_exact(co * ns) {
+        for px in 0..ns {
+            gout_t.extend((0..co).map(|ch| item[ch * ns + px]));
+        }
     }
+    let mut dcols = arena::take_f32_zeroed(n * patch);
+    gemm::gemm(&gout_t, w.data(), &mut dcols, n, co, patch, gemm::kernel_threads());
+    let mut gx = arena::take_f32(x_shape.iter().product());
+    col2im(&dcols, &geo, &mut gx);
+    arena::put_f32(gout_t);
+    arena::put_f32(dcols);
+    Tensor::from_vec(x_shape, gx)
 }
 
 #[cfg(test)]
@@ -441,19 +445,20 @@ mod tests {
         // <im2col(x), y> == <x, col2im(y)> for random-ish x, y: the transpose
         // relationship that makes the backward pass exact.
         let c = cfg(2, 1, 3, 2, 1);
-        let (ch, h, w) = (2usize, 5usize, 4usize);
-        let ho = c.out_size(h).unwrap();
-        let wo = c.out_size(w).unwrap();
-        let patch = ch * 9;
-        let x: Vec<f32> = (0..ch * h * w).map(|i| (i as f32 * 0.7).sin()).collect();
-        let y: Vec<f32> = (0..patch * ho * wo).map(|i| (i as f32 * 1.3).cos()).collect();
+        let (bsz, ch, h, w) = (2usize, 2usize, 5usize, 4usize);
+        let geo = geometry(&c, h, w);
+        let len = bsz * geo.ho * geo.wo * c.patch();
+        let x: Vec<f32> = (0..bsz * ch * h * w).map(|i| (i as f32 * 0.7).sin()).collect();
+        let y: Vec<f32> = (0..len).map(|i| (i as f32 * 1.3).cos()).collect();
 
-        let mut cols = vec![0.0; patch * ho * wo];
-        im2col(&x, ch, h, w, &c, ho, wo, &mut cols);
+        let mut cols = Vec::new();
+        im2col(&x, &geo, &mut cols);
+        assert_eq!(cols.len(), len);
         let lhs: f32 = cols.iter().zip(&y).map(|(a, b)| a * b).sum();
 
-        let mut gx = vec![0.0; ch * h * w];
-        col2im(&y, ch, h, w, &c, ho, wo, &mut gx);
+        let mut gx = Vec::new();
+        col2im(&y, &geo, &mut gx);
+        assert_eq!(gx.len(), x.len());
         let rhs: f32 = x.iter().zip(&gx).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "lhs {lhs} rhs {rhs}");
     }

@@ -2,8 +2,10 @@
 //!
 //! Every PPO update and curiosity forward-model step bottoms out in dense
 //! matrix multiplies — either directly ([`crate::tensor::Tensor::matmul`],
-//! the autograd `MatMul` op) or through the im2col convolution lowering
-//! ([`crate::ops::conv`]). This module owns those kernels:
+//! the autograd `MatMul` op) or through the pixel-major im2col convolution
+//! lowering ([`crate::ops::conv`]), whose three GEMMs per layer (forward,
+//! weight gradient, column gradient) all take row-major operands as they
+//! lie and so call [`gemm`] directly. This module owns those kernels:
 //!
 //! * [`gemm`] — `C = A·B`. Both operands are packed once into
 //!   micro-kernel-friendly layouts (see below), then the product is computed
@@ -14,7 +16,8 @@
 //!   column-panel cells;
 //! * [`gemm_nt`] / [`gemm_tn`] — `A·Bᵀ` and `Aᵀ·B` via a transpose pack
 //!   into a caller-provided scratch buffer (no per-call allocation when the
-//!   caller reuses the scratch across steps);
+//!   caller reuses the scratch across steps); the `MatMul` backward uses
+//!   them;
 //! * [`matmul_naive`] — the unblocked reference kernel, kept for
 //!   correctness tests and as the benchmark baseline.
 //!
@@ -423,38 +426,6 @@ pub fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut Vec<f32>)
     }
 }
 
-/// Splits `data` into runs of whole `item_len`-element items and applies
-/// `f(first_item_index, chunk)` to each run in ascending order. The
-/// `threads` parameter only shapes the chunk boundaries handed to `f`;
-/// execution is sequential. The im2col/col2im fills that route through here
-/// are memory-bandwidth-bound, and per-call scoped spawns cost more than
-/// they saved (see the pool module docs) while dispatching them to the
-/// persistent pool would require copying the inputs — roughly the price of
-/// the fill itself. Item order is preserved, so per-item computation is
-/// deterministic for every `threads` value.
-///
-/// # Panics
-///
-/// If `data.len() != items * item_len`.
-pub fn par_items(
-    data: &mut [f32],
-    item_len: usize,
-    items: usize,
-    threads: usize,
-    f: impl Fn(usize, &mut [f32]) + Sync,
-) {
-    assert_eq!(data.len(), items * item_len, "par_items length mismatch");
-    let threads = threads.max(1).min(items.max(1));
-    if threads <= 1 || item_len == 0 {
-        f(0, data);
-        return;
-    }
-    let per = items.div_ceil(threads);
-    for (t, chunk) in data.chunks_mut(per * item_len).enumerate() {
-        f(t * per, chunk);
-    }
-}
-
 /// Packs row-major `a: [m,k]` into the `k`-block-major `MR`-interleaved
 /// micro-panel layout (see module docs). `dst` must hold exactly `m·k`
 /// elements; every one is overwritten. Pure reshuffle — every source
@@ -792,19 +763,6 @@ mod tests {
         let mut empty: Vec<f32> = Vec::new();
         gemm(&[], &[1.0, 2.0], &mut empty, 0, 1, 2, 1);
         gemm(&[1.0], &[], &mut empty, 1, 1, 0, 1);
-    }
-
-    #[test]
-    fn par_items_partitions_whole_items() {
-        let mut data = vec![0.0f32; 6 * 4];
-        par_items(&mut data, 4, 6, 3, |first, chunk| {
-            for (d, item) in chunk.chunks_mut(4).enumerate() {
-                item.fill((first + d) as f32);
-            }
-        });
-        for (i, item) in data.chunks(4).enumerate() {
-            assert!(item.iter().all(|&v| v == i as f32), "item {i}: {item:?}");
-        }
     }
 
     #[test]
