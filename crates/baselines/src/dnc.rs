@@ -108,7 +108,7 @@ impl Scheduler for DncScheduler {
     fn decide(&mut self, env: &CrowdsensingEnv, _rng: &mut StdRng) -> Vec<WorkerAction> {
         (0..env.workers().len())
             .map(|wi| {
-                let w = &env.workers()[wi];
+                let w = env.workers().get(wi);
                 if w.energy_ratio() < CHARGE_THRESHOLD {
                     if env.can_charge(wi) {
                         return WorkerAction::charge();
@@ -154,8 +154,8 @@ mod tests {
             .worker(2.0, 4.0)
             .poi(4.0, 4.0, 10.0)
             .build();
-        let poi = env.pois()[0].pos;
-        let start = env.workers()[0].pos;
+        let poi = env.pois().get(0).pos;
+        let start = env.workers().get(0).pos;
         env.teleport_worker(0, start);
         let mut rng = StdRng::seed_from_u64(0);
 
@@ -223,7 +223,7 @@ mod tests {
         // The naive variant heads straight at the station (east-ish); the
         // pathfinding variant must make progress in hop distance.
         let field = vc_env::pathfind::DistanceField::from(env.config(), &station_pos);
-        let here = field.distance_to(env.config(), &env.workers()[0].pos).unwrap();
+        let here = field.distance_to(env.config(), &env.workers().get(0).pos).unwrap();
         let smart_hops = field.distance_to(env.config(), &smart_target).unwrap();
         assert!(smart_hops < here, "pathfinding variant made no hop progress");
         // (The naive move may or may not make hop progress; assert only that

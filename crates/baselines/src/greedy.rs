@@ -48,7 +48,7 @@ impl Scheduler for GreedyScheduler {
     fn decide(&mut self, env: &CrowdsensingEnv, rng: &mut StdRng) -> Vec<WorkerAction> {
         (0..env.workers().len())
             .map(|wi| {
-                let w = &env.workers()[wi];
+                let w = env.workers().get(wi);
                 if w.energy_ratio() < CHARGE_THRESHOLD && env.can_charge(wi) {
                     return WorkerAction::charge();
                 }
@@ -75,7 +75,7 @@ mod tests {
         cfg.num_pois = 1;
         let mut env = CrowdsensingEnv::new(cfg);
         // Put the worker one step west of the PoI.
-        let poi = env.pois()[0].pos;
+        let poi = env.pois().get(0).pos;
         env.teleport_worker(0, Point::new((poi.x - 1.0).max(0.0), poi.y));
         let mut rng = StdRng::seed_from_u64(0);
         let acts = GreedyScheduler.decide(&env, &mut rng);

@@ -194,9 +194,9 @@ impl HungarianScheduler {
             .map(|(i, _)| i)
             .collect();
         let mut costs = Vec::with_capacity(env.workers().len() * targets.len());
-        for w in env.workers() {
+        for w in env.workers().iter() {
             for &pi in &targets {
-                costs.push(w.pos.dist(&env.pois()[pi].pos));
+                costs.push(w.pos.dist(&env.pois().get(pi).pos));
             }
         }
         (costs, targets)
@@ -212,14 +212,14 @@ impl Scheduler for HungarianScheduler {
         let assignment = solve(&costs, w, targets.len()).ok();
         (0..w)
             .map(|wi| {
-                let worker = &env.workers()[wi];
+                let worker = env.workers().get(wi);
                 if worker.energy_ratio() < CHARGE_THRESHOLD && env.can_charge(wi) {
                     return WorkerAction::charge();
                 }
                 let goal = assignment
                     .as_ref()
                     .and_then(|a| a.assigned[wi])
-                    .map(|ti| env.pois()[targets[ti]].pos);
+                    .map(|ti| env.pois().get(targets[ti]).pos);
                 let Some(goal) = goal else {
                     return WorkerAction::go(Move::Stay);
                 };
@@ -312,14 +312,14 @@ mod tests {
         let mut cfg = EnvConfig::tiny();
         cfg.num_pois = 1;
         let mut env = CrowdsensingEnv::new(cfg);
-        let poi = env.pois()[0].pos;
+        let poi = env.pois().get(0).pos;
         let wx = if poi.x >= 4.0 { poi.x - 3.0 } else { poi.x + 3.0 };
         env.teleport_worker(0, Point::new(wx, poi.y));
-        let before = env.workers()[0].pos.dist(&poi);
+        let before = env.workers().get(0).pos.dist(&poi);
         let mut rng = StdRng::seed_from_u64(0);
         let acts = HungarianScheduler.decide(&env, &mut rng);
         env.step(&acts);
-        let after = env.workers()[0].pos.dist(&poi);
+        let after = env.workers().get(0).pos.dist(&poi);
         assert!(after < before, "did not close in on the assigned PoI ({before} -> {after})");
     }
 }

@@ -123,7 +123,7 @@ fn low_battery_dnc_approaches_stations() {
         cfg.seed = seed;
         let mut env = CrowdsensingEnv::new(cfg);
         env.set_worker_energy(0, 5.0);
-        let before = env.workers()[0].pos.dist(&env.stations()[0].pos);
+        let before = env.workers().get(0).pos.dist(&env.stations()[0].pos);
         let mut rng = StdRng::seed_from_u64(seed);
         let actions = DncScheduler::default().decide(&env, &mut rng);
         if actions[0].charge {

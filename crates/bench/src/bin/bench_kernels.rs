@@ -402,13 +402,13 @@ fn bench_env_step(iters: u64, out: &mut Vec<Rec>) {
 /// Times the struct-of-arrays fleet path. The `env_step` worker ladder
 /// (10 → 100 → 1000 workers on an otherwise identical 160×160 map with
 /// 20 000 PoIs) isolates how columnar stepping scales with fleet size
-/// alone: the per-slot fixed cost (PoI mirror sync, grid bookkeeping)
-/// amortizes across workers, which is exactly the ≤25× (w1000 vs w10)
-/// acceptance bound. Actions come from the O(W) [`SweepScheduler`] so the
-/// decide cost stays negligible next to the step being measured — a
-/// lookahead baseline would cost O(W·moves·P) and drown the signal. The
-/// `fleet_rollout` record closes the loop: one factored-head policy
-/// forward ([`FleetActorCritic`]) plus one fleet step at 1000 workers.
+/// alone: a slot has no O(P) fixed cost, so it grows with the workers'
+/// own phase-A and PoI-drain work. Actions come from the O(W)
+/// [`SweepScheduler`] so the decide cost stays negligible next to the
+/// step being measured — a lookahead baseline would cost O(W·moves·P)
+/// and drown the signal. The `fleet_rollout` record closes the loop: one
+/// factored-head policy forward ([`FleetActorCritic`]) plus one fleet step
+/// at 1000 workers.
 fn bench_fleet(iters: u64, rollout_iters: u64, out: &mut Vec<Rec>) {
     use vc_baselines::prelude::*;
     /// Timed batches per record; the fastest batch is reported.

@@ -48,7 +48,7 @@ pub fn snapshot(trainer: &Trainer, env_cfg: &EnvConfig, episode: usize, seed: u6
         let before: Vec<Point> = env.workers().iter().map(|w| w.pos).collect();
         env.step(&sampled.actions);
         for (wi, pos) in before.iter().enumerate() {
-            let next = env.workers()[wi].pos;
+            let next = env.workers().get(wi).pos;
             let err = spatial.prediction_error(wi, pos, sampled.moves[wi], &next);
             heatmap.deposit(env_cfg, pos, err);
         }

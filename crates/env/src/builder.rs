@@ -162,7 +162,7 @@ mod tests {
         assert_eq!(env.pois().len(), 5);
         assert_eq!(env.stations().len(), 1);
         assert_eq!(env.workers().len(), 1);
-        assert_eq!(env.workers()[0].energy, 30.0);
+        assert_eq!(env.workers().get(0).energy, 30.0);
         assert_eq!(env.config().horizon, 20);
     }
 
@@ -178,9 +178,9 @@ mod tests {
     fn poi_line_endpoints() {
         let b = MapBuilder::new(8.0, 8.0, 8).poi_line(1.0, 2.0, 5.0, 2.0, 3, 0.4).worker(0.5, 0.5);
         let env = b.build();
-        assert_eq!(env.pois()[0].pos, Point::new(1.0, 2.0));
-        assert_eq!(env.pois()[2].pos, Point::new(5.0, 2.0));
-        assert_eq!(env.pois()[1].pos, Point::new(3.0, 2.0));
+        assert_eq!(env.pois().get(0).pos, Point::new(1.0, 2.0));
+        assert_eq!(env.pois().get(2).pos, Point::new(5.0, 2.0));
+        assert_eq!(env.pois().get(1).pos, Point::new(3.0, 2.0));
     }
 
     #[test]
@@ -215,11 +215,15 @@ mod tests {
     #[test]
     fn reset_regenerates_hand_placed_scenario() {
         let mut env = MapBuilder::new(8.0, 8.0, 8).poi(4.0, 4.5, 1.0).worker(4.0, 4.0).build();
-        let initial = env.pois().to_vec();
+        let initial: Vec<Poi> = env.pois().iter().collect();
         env.step(&[WorkerAction::go(Move::Stay)]);
-        assert_ne!(env.pois(), &initial[..]);
+        assert_ne!(env.pois().iter().collect::<Vec<_>>(), initial);
         env.reset();
-        assert_eq!(env.pois(), &initial[..], "reset must restore the designed map");
+        assert_eq!(
+            env.pois().iter().collect::<Vec<_>>(),
+            initial,
+            "reset must restore the designed map"
+        );
         assert_eq!(env.time(), 0);
     }
 }

@@ -5,7 +5,7 @@ use crate::geometry::Point;
 use serde::{Deserialize, Serialize};
 
 /// An intelligent worker (drone / driverless car).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Worker {
     /// Current position `(x_t^w, y_t^w)`.
     pub pos: Point,
@@ -44,12 +44,12 @@ impl Worker {
 
     /// Energy as a fraction of capacity, in `[0, 1]`.
     pub fn energy_ratio(&self) -> f32 {
-        (self.energy / self.capacity).clamp(0.0, 1.0)
+        energy_ratio(self.energy, self.capacity)
     }
 }
 
 /// A point of interest holding collectible data (Definition 3).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct Poi {
     /// Fixed location `(x^p, y^p)`.
     pub pos: Point,
@@ -70,11 +70,7 @@ impl Poi {
 
     /// Fraction of the initial data already collected, in `[0, 1]`.
     pub fn collected_fraction(&self) -> f32 {
-        if self.initial_data <= 0.0 {
-            0.0
-        } else {
-            ((self.initial_data - self.data) / self.initial_data).clamp(0.0, 1.0)
-        }
+        collected_fraction(self.initial_data, self.data)
     }
 
     /// Fraction of the initial data still remaining, in `[0, 1]`.
@@ -91,6 +87,20 @@ impl Poi {
             self.access_time += 1;
         }
         amount
+    }
+}
+
+/// [`Worker::energy_ratio`] on raw column values.
+pub(crate) fn energy_ratio(energy: f32, capacity: f32) -> f32 {
+    (energy / capacity).clamp(0.0, 1.0)
+}
+
+/// [`Poi::collected_fraction`] on raw column values.
+pub(crate) fn collected_fraction(initial_data: f32, data: f32) -> f32 {
+    if initial_data <= 0.0 {
+        0.0
+    } else {
+        ((initial_data - data) / initial_data).clamp(0.0, 1.0)
     }
 }
 

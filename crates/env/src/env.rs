@@ -6,11 +6,15 @@
 //! (Eqn 1) and pays the energy bill of Eqn (3). The environment reports a
 //! per-worker [`WorkerOutcome`] from which both the paper's sparse reward
 //! (Eqns 18–19) and the dense baseline reward (Eqn 20) are computed.
+//!
+//! The environment's mutable state lives once, in the [`FleetState`]
+//! columns; [`CrowdsensingEnv::workers`] and [`CrowdsensingEnv::pois`] are
+//! borrowed views over them (DESIGN.md §16).
 
 use crate::action::{Move, WorkerAction, NUM_MOVES};
 use crate::config::EnvConfig;
 use crate::entities::{ChargingStation, Poi, Worker};
-use crate::fleet::{self, FleetScratch, FleetState, FleetStepView};
+use crate::fleet::{self, FleetScratch, FleetState, FleetStepView, Pois, Workers};
 use crate::geometry::Point;
 use crate::metrics::{self, Metrics};
 use serde::{Deserialize, Serialize};
@@ -93,19 +97,12 @@ fn take_outcome_buf() -> Vec<WorkerOutcome> {
 #[derive(Clone, Debug)]
 pub struct CrowdsensingEnv {
     cfg: EnvConfig,
-    workers: Vec<Worker>,
-    pois: Vec<Poi>,
-    stations: Vec<ChargingStation>,
     /// Pristine copy of the scenario, restored by [`Self::reset`]. Hand-
     /// placed scenarios (see `builder`) live only here, not in the seed.
     template: (Vec<Worker>, Vec<Poi>, Vec<ChargingStation>),
     t: usize,
-    initial_total_data: f32,
-    /// Per-worker collection ratio at the last Υ¹ pulse.
-    sparse_level: Vec<f32>,
-    /// Authoritative struct-of-arrays stepping state; `workers` / `pois`
-    /// above are an eagerly synchronized AoS read view over these columns
-    /// (DESIGN.md §16).
+    /// The mutable fleet state, stored once as columns; `workers()`,
+    /// `pois()` and `stations()` read through it (DESIGN.md §16).
     fleet: FleetState,
     /// Persistent arena-backed per-step scratch (zero steady-state allocs).
     scratch: FleetScratch,
@@ -179,23 +176,16 @@ impl CrowdsensingEnv {
         stations: Vec<ChargingStation>,
     ) -> Result<Self, crate::error::EnvError> {
         cfg.validate()?;
-        let initial_total_data = pois.iter().map(|p| p.initial_data).sum();
-        let w = workers.len();
-        let mut fleet = FleetState::default();
-        fleet.load(&cfg, &workers, &pois, &stations);
-        Ok(Self {
+        let mut env = Self {
             cfg,
-            template: (workers.clone(), pois.clone(), stations.clone()),
-            workers,
-            pois,
-            stations,
+            template: (workers, pois, stations),
             t: 0,
-            initial_total_data,
-            sparse_level: vec![0.0; w],
-            fleet,
+            fleet: FleetState::default(),
             scratch: FleetScratch::default(),
             telemetry: None,
-        })
+        };
+        env.reset();
+        Ok(env)
     }
 
     /// Attaches a telemetry registry: per-step collision and charge-grant
@@ -222,13 +212,8 @@ impl CrowdsensingEnv {
     /// Restores the pristine scenario (same map, full batteries, full data)
     /// and rewinds time.
     pub fn reset(&mut self) {
-        let (workers, pois, stations) = self.template.clone();
-        self.initial_total_data = pois.iter().map(|p| p.initial_data).sum();
-        self.sparse_level = vec![0.0; workers.len()];
-        self.workers = workers;
-        self.pois = pois;
-        self.stations = stations;
-        self.fleet.load(&self.cfg, &self.workers, &self.pois, &self.stations);
+        let (workers, pois, stations) = &self.template;
+        self.fleet.load(&self.cfg, workers, pois, stations);
         self.t = 0;
     }
 
@@ -249,22 +234,22 @@ impl CrowdsensingEnv {
         &self.cfg
     }
 
-    /// Current worker states.
-    pub fn workers(&self) -> &[Worker] {
-        &self.workers
+    /// Current worker states, read through the columns.
+    pub fn workers(&self) -> Workers<'_> {
+        self.fleet.workers()
     }
 
-    /// Current PoI states.
-    pub fn pois(&self) -> &[Poi] {
-        &self.pois
+    /// Current PoI states, read through the columns.
+    pub fn pois(&self) -> Pois<'_> {
+        self.fleet.pois()
     }
 
     /// Charging stations.
     pub fn stations(&self) -> &[ChargingStation] {
-        &self.stations
+        &self.fleet.stations
     }
 
-    /// The struct-of-arrays stepping state (columnar read view).
+    /// The struct-of-arrays fleet state (columnar read access).
     pub fn fleet(&self) -> &FleetState {
         &self.fleet
     }
@@ -281,12 +266,12 @@ impl CrowdsensingEnv {
 
     /// Total initial data `Σ_p δ₀^p`.
     pub fn initial_total_data(&self) -> f32 {
-        self.initial_total_data
+        self.fleet.initial_total_data
     }
 
     /// Current paper metrics (κ, ξ, ρ).
     pub fn metrics(&self) -> Metrics {
-        metrics::compute(&self.workers, &self.pois)
+        metrics::compute(&self.fleet)
     }
 
     // ---- scenario surgery ----------------------------------------------------
@@ -294,24 +279,20 @@ impl CrowdsensingEnv {
     /// Moves a worker to an arbitrary position (test/ablation helper; does
     /// not validate obstacles or spend energy).
     pub fn teleport_worker(&mut self, worker: usize, pos: Point) {
-        self.workers[worker].pos = pos;
-        self.fleet.set_worker_pos(worker, pos);
+        self.fleet.x[worker] = pos.x;
+        self.fleet.y[worker] = pos.y;
     }
 
     /// Overwrites a worker's remaining energy (test/ablation helper).
     pub fn set_worker_energy(&mut self, worker: usize, energy: f32) {
-        let w = &mut self.workers[worker];
-        w.energy = energy.clamp(0.0, w.capacity);
-        self.fleet.set_worker_energy(worker, w.energy);
+        self.fleet.energy[worker] = energy.clamp(0.0, self.fleet.capacity[worker]);
     }
 
     /// Overwrites a PoI's remaining data, clamped to `[0, initial]` (the
     /// serving path uses this to project a reported fleet snapshot onto
     /// the policy's training scenario).
     pub fn set_poi_data(&mut self, poi: usize, data: f32) {
-        let p = &mut self.pois[poi];
-        p.data = data.clamp(0.0, p.initial_data);
-        self.fleet.set_poi_data(poi, p.data);
+        self.fleet.poi_data[poi] = data.clamp(0.0, self.fleet.poi_initial[poi]);
     }
 
     // ---- queries for planners ----------------------------------------------
@@ -319,27 +300,25 @@ impl CrowdsensingEnv {
     /// Whether the segment `from -> to` is a legal move (inside the space and
     /// not through any obstacle).
     pub fn path_clear(&self, from: &Point, to: &Point) -> bool {
-        if to.x < 0.0 || to.x > self.cfg.size_x || to.y < 0.0 || to.y > self.cfg.size_y {
-            return false;
-        }
-        !self.cfg.obstacles.iter().any(|r| r.intersects_segment(from, to))
+        self.fleet.motion.path_clear(from, to)
     }
 
     /// The position a worker would reach with `mv`, or `None` if the move is
     /// illegal (collision / boundary) or the worker cannot pay the travel
     /// energy.
     pub fn peek_move(&self, worker: usize, mv: Move) -> Option<Point> {
-        let w = &self.workers[worker];
-        if w.exhausted() {
-            return if mv == Move::Stay { Some(w.pos) } else { None };
+        let pos = Point::new(self.fleet.x[worker], self.fleet.y[worker]);
+        let energy = self.fleet.energy[worker];
+        if energy <= 0.0 {
+            return if mv == Move::Stay { Some(pos) } else { None };
         }
         let (dx, dy) = mv.displacement(self.cfg.max_step);
-        let target = w.pos.offset(dx, dy);
-        if !self.path_clear(&w.pos, &target) {
+        let target = pos.offset(dx, dy);
+        if !self.path_clear(&pos, &target) {
             return None;
         }
-        let travel_cost = self.cfg.beta * w.pos.dist(&target);
-        if travel_cost > w.energy {
+        let travel_cost = self.cfg.beta * pos.dist(&target);
+        if travel_cost > energy {
             return None;
         }
         Some(target)
@@ -357,8 +336,8 @@ impl CrowdsensingEnv {
 
     /// Whether a worker is currently within range of any charging station.
     pub fn can_charge(&self, worker: usize) -> bool {
-        let p = &self.workers[worker].pos;
-        self.stations.iter().any(|s| s.in_range(p))
+        let p = Point::new(self.fleet.x[worker], self.fleet.y[worker]);
+        self.fleet.stations.iter().any(|s| s.in_range(&p))
     }
 
     /// The data a worker standing at `pos` would collect this slot
@@ -366,10 +345,10 @@ impl CrowdsensingEnv {
     /// the Greedy and D&C planners.
     pub fn potential_collection(&self, pos: &Point) -> f32 {
         let g = self.cfg.sensing_range;
-        self.pois
-            .iter()
-            .filter(|p| p.pos.dist(pos) <= g)
-            .map(|p| (self.cfg.collect_rate * p.initial_data).min(p.data))
+        let f = &self.fleet;
+        (0..f.poi_x.len())
+            .filter(|&i| Point::new(f.poi_x[i], f.poi_y[i]).dist(pos) <= g)
+            .map(|i| (self.cfg.collect_rate * f.poi_initial[i]).min(f.poi_data[i]))
             .sum()
     }
 
@@ -393,23 +372,14 @@ impl CrowdsensingEnv {
     ///
     /// This is the allocation-free fleet-scale entry point: the physics runs
     /// over [`FleetState`] columns (pool-chunked above
-    /// [`fleet::FLEET_PAR_MIN_WORKERS`]) and the AoS `workers()` / `pois()`
-    /// views are refreshed in place before returning. Bitwise-identical to
-    /// [`Self::step_reference`] (see `tests/fleet_equivalence.rs`).
+    /// [`fleet::FLEET_PAR_MIN_WORKERS`]), and the `workers()` / `pois()`
+    /// views read the updated columns directly. Bitwise-identical to the
+    /// per-entity AoS oracle of `tests/fleet_equivalence.rs`.
     pub fn step_fleet(&mut self, actions: &[WorkerAction]) -> FleetStepView<'_> {
-        assert_eq!(actions.len(), self.workers.len(), "one action per worker required");
+        assert_eq!(actions.len(), self.fleet.num_workers(), "one action per worker required");
         assert!(!self.done(), "episode already finished; call reset()");
 
-        fleet::step_columns(
-            &self.cfg,
-            &mut self.fleet,
-            &mut self.scratch,
-            actions,
-            &mut self.sparse_level,
-            self.initial_total_data,
-        );
-        self.fleet.sync_workers(&mut self.workers);
-        self.fleet.sync_pois(&mut self.pois);
+        fleet::step_columns(&self.cfg, &mut self.fleet, &mut self.scratch, actions);
 
         self.t += 1;
         let done = self.done();
@@ -442,13 +412,13 @@ impl CrowdsensingEnv {
 
     /// Emits the end-of-episode telemetry event and gauges.
     fn emit_episode_telemetry(&self, tel: &EnvTelemetry) {
-        let m = metrics::compute(&self.workers, &self.pois);
+        let m = metrics::compute(&self.fleet);
         tel.kappa.set(f64::from(m.data_collection_ratio));
         tel.xi.set(f64::from(m.remaining_data_ratio));
         tel.rho.set(f64::from(m.energy_efficiency));
         tel.episodes.inc();
-        let collisions: u64 = self.workers.iter().map(|w| u64::from(w.collisions)).sum();
-        let charged_total: f64 = self.workers.iter().map(|w| f64::from(w.total_charged)).sum();
+        let collisions: u64 = self.fleet.collisions.iter().map(|&c| u64::from(c)).sum();
+        let charged_total: f64 = self.fleet.total_charged.iter().map(|&c| f64::from(c)).sum();
         tel.handle.event(
             "episode",
             &[
@@ -461,124 +431,6 @@ impl CrowdsensingEnv {
                 ("charged", Field::F64(charged_total)),
             ],
         );
-    }
-
-    /// The original AoS per-entity step loop, preserved verbatim as the
-    /// differential-testing baseline for the columnar path (see
-    /// `tests/fleet_equivalence.rs`). Resynchronizes the fleet columns from
-    /// the AoS state before returning, so the two paths can be interleaved.
-    pub fn step_reference(&mut self, actions: &[WorkerAction]) -> StepResult {
-        assert_eq!(actions.len(), self.workers.len(), "one action per worker required");
-        assert!(!self.done(), "episode already finished; call reset()");
-
-        let mut outcomes = vec![WorkerOutcome::default(); self.workers.len()];
-        // Stations serve one worker per slot (the paper's charging
-        // competition); earlier-indexed workers win ties.
-        let mut station_busy = vec![false; self.stations.len()];
-
-        for (wi, action) in actions.iter().enumerate() {
-            let out = &mut outcomes[wi];
-            // Snapshot the worker so planning queries can borrow `self`.
-            let (start, energy, capacity, exhausted) = {
-                let w = &self.workers[wi];
-                (w.pos, w.energy, w.capacity, w.exhausted())
-            };
-
-            if action.charge {
-                out.charging = true;
-                let slot = self
-                    .stations
-                    .iter()
-                    .enumerate()
-                    .find(|(si, s)| !station_busy[*si] && s.in_range(&start));
-                if let Some((si, _)) = slot {
-                    station_busy[si] = true;
-                    let sigma = self.cfg.charge_rate.min(capacity - energy).max(0.0);
-                    let worker = &mut self.workers[wi];
-                    worker.energy += sigma;
-                    worker.total_charged += sigma;
-                    out.charged = sigma;
-                    out.charge_pulse = sigma / capacity >= self.cfg.epsilon2;
-                }
-                // An out-of-range (or crowded-out) charge request wastes the
-                // slot but costs nothing.
-                continue;
-            }
-
-            if exhausted {
-                continue; // b_t = 0 ⇒ the worker stops movement.
-            }
-
-            // Route planning.
-            let (dx, dy) = action.movement.displacement(self.cfg.max_step);
-            let target = start.offset(dx, dy);
-            let legal = action.movement == Move::Stay
-                || (self.path_clear(&start, &target)
-                    && self.cfg.beta * start.dist(&target) <= energy);
-
-            let end = if legal {
-                target
-            } else {
-                self.workers[wi].collisions += 1;
-                out.collided = true;
-                start
-            };
-            let traveled = start.dist(&end);
-            out.traveled = traveled;
-
-            // Data collection from PoIs within the sensing range of the new
-            // position (workers are processed in index order, so earlier
-            // workers drain shared PoIs first — the paper's competition).
-            let mut q = 0.0;
-            let g = self.cfg.sensing_range;
-            let lambda = self.cfg.collect_rate;
-            for poi in &mut self.pois {
-                if poi.pos.dist(&end) <= g {
-                    q += poi.collect(lambda);
-                }
-            }
-
-            // Energy accounting (Eqn 3), floored at an empty battery.
-            let e = self.cfg.beta * traveled + self.cfg.alpha * q;
-            let consumed = e.min(energy);
-            let worker = &mut self.workers[wi];
-            worker.pos = end;
-            worker.energy -= consumed;
-            worker.total_collected += q;
-            worker.total_consumed += consumed;
-            out.collected = q;
-            out.consumed = consumed;
-
-            // Sparse-reward Υ¹ bookkeeping: pulse each time the per-worker
-            // collection ratio climbs another ε₁ above the last pulse level.
-            if self.initial_total_data > 0.0 {
-                let ratio = worker.total_collected / self.initial_total_data;
-                if ratio - self.sparse_level[wi] >= self.cfg.epsilon1 {
-                    self.sparse_level[wi] = ratio;
-                    out.data_pulse = true;
-                }
-            }
-        }
-
-        self.t += 1;
-        let done = self.done();
-        if let Some(tel) = self.tel() {
-            let collided = outcomes.iter().filter(|o| o.collided).count() as u64;
-            if collided > 0 {
-                tel.collisions.add(collided);
-            }
-            let charged = outcomes.iter().filter(|o| o.charged > 0.0).count() as u64;
-            if charged > 0 {
-                tel.charge_slots.add(charged);
-            }
-            if done {
-                self.emit_episode_telemetry(tel);
-            }
-        }
-        // The AoS vectors are authoritative in this path: rebuild the
-        // columns so a following `step_fleet` sees the same state.
-        self.fleet.load(&self.cfg, &self.workers, &self.pois, &self.stations);
-        StepResult { outcomes, t: self.t, done }
     }
 }
 
@@ -643,14 +495,14 @@ mod tests {
     #[test]
     fn reset_restores_initial_state() {
         let mut env = env_with(EnvConfig::tiny());
-        let initial_pois = env.pois().to_vec();
+        let initial_pois: Vec<Poi> = env.pois().iter().collect();
         for _ in 0..5 {
             env.step(&[WorkerAction::go(Move::East)]);
         }
         env.reset();
         assert_eq!(env.time(), 0);
-        assert_eq!(env.pois(), &initial_pois[..]);
-        assert_eq!(env.workers()[0].total_collected, 0.0);
+        assert_eq!(env.pois().iter().collect::<Vec<_>>(), initial_pois);
+        assert_eq!(env.workers().get(0).total_collected, 0.0);
     }
 
     #[test]
@@ -658,8 +510,8 @@ mod tests {
         let mut cfg = EnvConfig::tiny();
         cfg.num_pois = 0;
         let mut env = env_with(cfg);
-        let e0 = env.workers()[0].energy;
-        let p0 = env.workers()[0].pos;
+        let e0 = env.workers().get(0).energy;
+        let p0 = env.workers().get(0).pos;
         let mv = Move::ALL
             .iter()
             .copied()
@@ -668,8 +520,8 @@ mod tests {
         let r = env.step(&[WorkerAction::go(mv)]);
         assert!((r.outcomes[0].traveled - env.config().max_step).abs() < 1e-5);
         let expected = env.config().beta * env.config().max_step;
-        assert!((e0 - env.workers()[0].energy - expected).abs() < 1e-5);
-        assert!(env.workers()[0].pos.dist(&p0) > 0.0);
+        assert!((e0 - env.workers().get(0).energy - expected).abs() < 1e-5);
+        assert!(env.workers().get(0).pos.dist(&p0) > 0.0);
     }
 
     #[test]
@@ -686,8 +538,8 @@ mod tests {
             }
         }
         assert!(collided, "never reached the boundary");
-        assert!(env.workers()[0].collisions >= 1);
-        assert!(env.workers()[0].pos.x >= 0.0);
+        assert!(env.workers().get(0).collisions >= 1);
+        assert!(env.workers().get(0).pos.x >= 0.0);
     }
 
     #[test]
@@ -702,7 +554,7 @@ mod tests {
         env.teleport_worker(0, Point::new(3.5, 4.0));
         let r = env.step(&[WorkerAction::go(Move::East)]);
         assert!(r.outcomes[0].collided);
-        assert_eq!(env.workers()[0].pos, Point::new(3.5, 4.0));
+        assert_eq!(env.workers().get(0).pos, Point::new(3.5, 4.0));
     }
 
     #[test]
@@ -712,8 +564,8 @@ mod tests {
         let mut env = env_with(cfg);
         // Teleport the worker onto the PoI and stay: collection is capped at
         // λ·δ₀ per slot.
-        let poi_pos = env.pois()[0].pos;
-        let delta0 = env.pois()[0].initial_data;
+        let poi_pos = env.pois().get(0).pos;
+        let delta0 = env.pois().get(0).initial_data;
         env.teleport_worker(0, poi_pos);
         let r = env.step(&stay_all(&env));
         let expected = env.config().collect_rate * delta0;
@@ -722,8 +574,11 @@ mod tests {
         for _ in 0..5 {
             env.step(&stay_all(&env));
         }
-        assert!(env.pois()[0].data < 1e-6);
-        assert_eq!(env.metrics().data_collection_ratio, env.workers()[0].total_collected / delta0);
+        assert!(env.pois().get(0).data < 1e-6);
+        assert_eq!(
+            env.metrics().data_collection_ratio,
+            env.workers().get(0).total_collected / delta0
+        );
     }
 
     #[test]
@@ -731,11 +586,11 @@ mod tests {
         let mut cfg = EnvConfig::tiny();
         cfg.num_pois = 1;
         let mut env = env_with(cfg);
-        env.teleport_worker(0, env.pois()[0].pos);
-        let e0 = env.workers()[0].energy;
+        env.teleport_worker(0, env.pois().get(0).pos);
+        let e0 = env.workers().get(0).energy;
         let r = env.step(&stay_all(&env));
         let expected = env.config().alpha * r.outcomes[0].collected; // no travel
-        assert!((e0 - env.workers()[0].energy - expected).abs() < 1e-5);
+        assert!((e0 - env.workers().get(0).energy - expected).abs() < 1e-5);
     }
 
     #[test]
@@ -755,7 +610,7 @@ mod tests {
         // In range: gains charge_rate (capped by capacity headroom).
         env.teleport_worker(0, station);
         let r = env.step(&[WorkerAction::charge()]);
-        let expected = env.config().charge_rate.min(env.workers()[0].capacity - 10.0);
+        let expected = env.config().charge_rate.min(env.workers().get(0).capacity - 10.0);
         assert!((r.outcomes[0].charged - expected).abs() < 1e-5);
         assert!(r.outcomes[0].charge_pulse); // 20/40 ≥ ε₂ = 0.4
     }
@@ -767,11 +622,11 @@ mod tests {
         let mut env = env_with(cfg);
         env.teleport_worker(0, env.stations()[0].pos);
         // Nearly full battery: tiny top-up, and no ε₂ pulse.
-        env.set_worker_energy(0, env.workers()[0].capacity - 1.0);
+        env.set_worker_energy(0, env.workers().get(0).capacity - 1.0);
         let r = env.step(&[WorkerAction::charge()]);
         assert!((r.outcomes[0].charged - 1.0).abs() < 1e-5);
         assert!(!r.outcomes[0].charge_pulse);
-        assert_eq!(env.workers()[0].energy, env.workers()[0].capacity);
+        assert_eq!(env.workers().get(0).energy, env.workers().get(0).capacity);
     }
 
     #[test]
@@ -796,9 +651,9 @@ mod tests {
         cfg.num_pois = 0;
         let mut env = env_with(cfg);
         env.set_worker_energy(0, 0.0);
-        let p0 = env.workers()[0].pos;
+        let p0 = env.workers().get(0).pos;
         let r = env.step(&[WorkerAction::go(Move::East)]);
-        assert_eq!(env.workers()[0].pos, p0);
+        assert_eq!(env.workers().get(0).pos, p0);
         assert_eq!(r.outcomes[0].traveled, 0.0);
         assert!(!r.outcomes[0].collided, "exhaustion is a stall, not a collision");
     }
@@ -809,7 +664,7 @@ mod tests {
         cfg.num_pois = 1;
         cfg.epsilon1 = 0.05;
         let mut env = env_with(cfg);
-        env.teleport_worker(0, env.pois()[0].pos);
+        env.teleport_worker(0, env.pois().get(0).pos);
         // Each slot collects λ = 20% of the single PoI's data, which is 20%
         // of total data: every collecting slot crosses ε₁ = 5%.
         let r = env.step(&stay_all(&env));
@@ -836,7 +691,7 @@ mod tests {
         let mut cfg = EnvConfig::tiny();
         cfg.num_pois = 10;
         let mut env = env_with(cfg);
-        let pos = env.pois()[0].pos;
+        let pos = env.pois().get(0).pos;
         env.teleport_worker(0, pos);
         let predicted = env.potential_collection(&pos);
         let r = env.step(&stay_all(&env));
@@ -853,7 +708,7 @@ mod tests {
                 .map(|w| WorkerAction::go(moves[(k + w) % moves.len()]))
                 .collect();
             env.step(&acts);
-            for w in env.workers() {
+            for w in env.workers().iter() {
                 assert!(w.energy >= 0.0, "negative energy");
                 assert!(w.energy <= w.capacity + 1e-4);
             }

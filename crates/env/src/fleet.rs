@@ -1,14 +1,18 @@
 //! Struct-of-arrays fleet state: the columnar stepping engine behind
 //! [`crate::env::CrowdsensingEnv`].
 //!
-//! The AoS entity vectors ([`Worker`], [`Poi`], [`ChargingStation`]) remain
-//! the *read* API, but stepping runs on [`FleetState`]'s parallel `Vec<f32>`
-//! columns so a 1000-worker fleet advances with tight cache-friendly loops
-//! and zero steady-state heap allocations (see `tests/fleet_alloc.rs`).
+//! [`FleetState`] is the only copy of the mutable fleet state: one column
+//! per worker and PoI field, plus the static station list. Readers see the
+//! entities through the borrowed [`Workers`] and [`Pois`] views, which
+//! assemble a [`Worker`] or [`Poi`] by value from the columns on access, so
+//! nothing is copied back after a step. Stepping runs tight columnar loops,
+//! and a 1000-worker fleet advances with zero steady-state heap allocations
+//! (see `tests/fleet_alloc.rs`).
 //!
-//! One step is split into two phases that together reproduce the original
-//! per-worker loop **bitwise** (proven by `tests/fleet_equivalence.rs` and
-//! the unmodified golden-trace fixtures):
+//! One step is split into two phases that together reproduce the paper's
+//! per-worker loop **bitwise** (proven against the AoS oracle in
+//! `tests/fleet_equivalence.rs` and by the unmodified golden-trace
+//! fixtures):
 //!
 //! * **Phase A** — per-worker physics with no cross-worker dependency:
 //!   action decoding, exhaustion, route legality (boundary, obstacles,
@@ -26,8 +30,8 @@
 //! per-worker candidate set is O(local density) instead of O(P). Candidates
 //! are sorted back into global PoI index order before draining, and the
 //! exact distance predicate is re-applied per candidate, so both the drain
-//! *set* and the floating-point accumulation *order* match the reference
-//! loop bit for bit.
+//! *set* and the floating-point accumulation *order* match a full PoI scan
+//! bit for bit.
 
 use crate::action::{Move, WorkerAction};
 use crate::config::EnvConfig;
@@ -129,11 +133,10 @@ impl PoiGrid {
 
 // ---- columnar state -------------------------------------------------------
 
-/// Struct-of-arrays mirror of the fleet: one column per entity field.
+/// The fleet's state, one column per worker and PoI field (DESIGN.md §16).
 ///
-/// This is the authoritative stepping representation; the environment keeps
-/// its AoS `Vec<Worker>` / `Vec<Poi>` as an eagerly synchronized read view
-/// (the "AoS view contract" of DESIGN.md §16).
+/// This is the environment's only copy of the mutable state; [`Workers`]
+/// and [`Pois`] read entities through it.
 #[derive(Clone, Debug, Default)]
 pub struct FleetState {
     // Worker columns.
@@ -147,23 +150,25 @@ pub struct FleetState {
     pub(crate) total_consumed: Vec<f32>,
     pub(crate) total_charged: Vec<f32>,
     pub(crate) collisions: Vec<u32>,
+    /// Per-worker collection ratio at the last Υ¹ pulse.
+    pub(crate) sparse_level: Vec<f32>,
     // PoI columns.
     pub(crate) poi_x: Vec<f32>,
     pub(crate) poi_y: Vec<f32>,
     pub(crate) poi_initial: Vec<f32>,
     pub(crate) poi_data: Vec<f32>,
     pub(crate) poi_access: Vec<u32>,
-    // Station columns.
-    pub(crate) st_x: Vec<f32>,
-    pub(crate) st_y: Vec<f32>,
-    pub(crate) st_range: Vec<f32>,
+    /// Total initial data `Σ_p δ₀^p`.
+    pub(crate) initial_total_data: f32,
+    /// Charging stations (static).
+    pub(crate) stations: Vec<ChargingStation>,
     /// Flat observation-grid cell of each PoI (PoIs never move).
     pub(crate) poi_cell: Vec<u32>,
     /// Observation-grid cells overlapped by an obstacle (static layer).
     pub(crate) obstacle_cells: Vec<u32>,
     grid: PoiGrid,
-    /// Obstacle set shared with pooled phase-A jobs without per-step copies.
-    obstacles: Arc<Vec<Rect>>,
+    /// The static inputs of phase A.
+    pub(crate) motion: Motion,
 }
 
 impl FleetState {
@@ -177,36 +182,9 @@ impl FleetState {
         &self.x
     }
 
-    /// Worker y-coordinate column.
-    pub fn worker_ys(&self) -> &[f32] {
-        &self.y
-    }
-
     /// Worker energy column.
     pub fn energies(&self) -> &[f32] {
         &self.energy
-    }
-
-    /// Remaining PoI data column.
-    pub fn poi_data(&self) -> &[f32] {
-        &self.poi_data
-    }
-
-    /// Mirrors [`crate::env::CrowdsensingEnv::teleport_worker`] into the
-    /// columns. PoI positions never move, so the grid stays valid.
-    pub(crate) fn set_worker_pos(&mut self, wi: usize, pos: Point) {
-        self.x[wi] = pos.x;
-        self.y[wi] = pos.y;
-    }
-
-    /// Mirrors an energy overwrite into the columns.
-    pub(crate) fn set_worker_energy(&mut self, wi: usize, energy: f32) {
-        self.energy[wi] = energy;
-    }
-
-    /// Mirrors a PoI data overwrite into the columns.
-    pub(crate) fn set_poi_data(&mut self, pi: usize, data: f32) {
-        self.poi_data[pi] = data;
     }
 
     /// Rebuilds every column from AoS entities, reusing buffer capacity.
@@ -229,14 +207,15 @@ impl FleetState {
         fill(&mut self.total_consumed, workers.iter().map(|w| w.total_consumed));
         fill(&mut self.total_charged, workers.iter().map(|w| w.total_charged));
         fill(&mut self.collisions, workers.iter().map(|w| w.collisions));
+        fill(&mut self.sparse_level, workers.iter().map(|_| 0.0));
         fill(&mut self.poi_x, pois.iter().map(|p| p.pos.x));
         fill(&mut self.poi_y, pois.iter().map(|p| p.pos.y));
         fill(&mut self.poi_initial, pois.iter().map(|p| p.initial_data));
         fill(&mut self.poi_data, pois.iter().map(|p| p.data));
         fill(&mut self.poi_access, pois.iter().map(|p| p.access_time));
-        fill(&mut self.st_x, stations.iter().map(|s| s.pos.x));
-        fill(&mut self.st_y, stations.iter().map(|s| s.pos.y));
-        fill(&mut self.st_range, stations.iter().map(|s| s.range));
+        self.initial_total_data = pois.iter().map(|p| p.initial_data).sum();
+        self.stations.clear();
+        self.stations.extend_from_slice(stations);
         self.grid.build(cfg, &self.poi_x, &self.poi_y);
         crate::state::static_cells(
             cfg,
@@ -245,31 +224,82 @@ impl FleetState {
             &mut self.poi_cell,
             &mut self.obstacle_cells,
         );
-        self.obstacles = Arc::new(cfg.obstacles.clone());
+        self.motion = Motion {
+            size_x: cfg.size_x,
+            size_y: cfg.size_y,
+            beta: cfg.beta,
+            max_step: cfg.max_step,
+            obstacles: Arc::new(cfg.obstacles.clone()),
+        };
     }
 
-    /// Refreshes the mutable fields of the AoS worker view from the columns
-    /// (position, energy, lifetime totals, collisions). One branchless
-    /// linear pass; capacity never changes mid-episode.
-    pub(crate) fn sync_workers(&self, out: &mut [Worker]) {
-        for (i, w) in out.iter_mut().enumerate() {
-            w.pos.x = self.x[i];
-            w.pos.y = self.y[i];
-            w.energy = self.energy[i];
-            w.total_collected = self.total_collected[i];
-            w.total_consumed = self.total_consumed[i];
-            w.total_charged = self.total_charged[i];
-            w.collisions = self.collisions[i];
-        }
+    /// The workers, as a view over the columns.
+    pub(crate) fn workers(&self) -> Workers<'_> {
+        let read = |f: &FleetState, i: usize| Worker {
+            pos: Point::new(f.x[i], f.y[i]),
+            energy: f.energy[i],
+            capacity: f.capacity[i],
+            total_collected: f.total_collected[i],
+            total_consumed: f.total_consumed[i],
+            total_charged: f.total_charged[i],
+            collisions: f.collisions[i],
+        };
+        View { fleet: self, len: self.x.len(), read }
     }
 
-    /// Refreshes the mutable fields of the AoS PoI view (remaining data and
-    /// access counters). Positions and initial data are static.
-    pub(crate) fn sync_pois(&self, out: &mut [Poi]) {
-        for (i, p) in out.iter_mut().enumerate() {
-            p.data = self.poi_data[i];
-            p.access_time = self.poi_access[i];
-        }
+    /// The PoIs, as a view over the columns.
+    pub(crate) fn pois(&self) -> Pois<'_> {
+        let read = |f: &FleetState, i: usize| Poi {
+            pos: Point::new(f.poi_x[i], f.poi_y[i]),
+            initial_data: f.poi_initial[i],
+            data: f.poi_data[i],
+            access_time: f.poi_access[i],
+        };
+        View { fleet: self, len: self.poi_x.len(), read }
+    }
+}
+
+// ---- read views -----------------------------------------------------------
+
+/// Borrowed read view of one entity kind ([`Workers`], [`Pois`]):
+/// [`Self::get`] assembles entity `i` by value from the columns, so a read
+/// costs O(1) and nothing is copied up front.
+#[derive(Clone, Copy)]
+pub struct View<'a, T> {
+    fleet: &'a FleetState,
+    len: usize,
+    read: fn(&FleetState, usize) -> T,
+}
+
+/// The workers, read through the columns.
+pub type Workers<'a> = View<'a, Worker>;
+/// The PoIs, read through the columns.
+pub type Pois<'a> = View<'a, Poi>;
+
+impl<'a, T: 'a> View<'a, T> {
+    /// Number of entities.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True when there are none.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Entity `i`, by value.
+    ///
+    /// # Panics
+    ///
+    /// If `i` is out of range.
+    pub fn get(&self, i: usize) -> T {
+        (self.read)(self.fleet, i)
+    }
+
+    /// Every entity in index order, by value.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = T> + 'a {
+        let (fleet, read) = (self.fleet, self.read);
+        (0..self.len).map(move |i| read(fleet, i))
     }
 }
 
@@ -421,57 +451,60 @@ impl FleetStepView<'_> {
 
 // ---- phase A: independent per-worker physics ------------------------------
 
-/// `CrowdsensingEnv::path_clear` on raw geometry (no `self` borrow), shared
-/// by the sequential and pooled phase-A paths.
-#[inline]
-fn path_clear_raw(size_x: f32, size_y: f32, obstacles: &[Rect], from: &Point, to: &Point) -> bool {
-    if to.x < 0.0 || to.x > size_x || to.y < 0.0 || to.y > size_y {
-        return false;
-    }
-    !obstacles.iter().any(|r| r.intersects_segment(from, to))
-}
-
-/// One worker's phase-A physics: mode classification, route legality and
-/// the tentative end position. Pure in its inputs — this is what makes the
-/// phase chunkable.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn phase_a_one(
-    size_x: f32,
-    size_y: f32,
-    beta: f32,
-    max_step: f32,
-    obstacles: &[Rect],
-    x: f32,
-    y: f32,
-    energy: f32,
-    mv: Move,
-    charge: bool,
-) -> (u8, bool, f32, f32, f32) {
-    if charge {
-        return (MODE_CHARGE, false, x, y, 0.0);
-    }
-    if energy <= 0.0 {
-        return (MODE_EXHAUSTED, false, x, y, 0.0);
-    }
-    let start = Point::new(x, y);
-    let (dx, dy) = mv.displacement(max_step);
-    let target = start.offset(dx, dy);
-    let legal = mv == Move::Stay
-        || (path_clear_raw(size_x, size_y, obstacles, &start, &target)
-            && beta * start.dist(&target) <= energy);
-    let (end, collided) = if legal { (target, false) } else { (start, true) };
-    let traveled = start.dist(&end);
-    (MODE_MOVE, collided, end.x, end.y, traveled)
-}
-
-/// Inputs snapshotted for pooled phase-A jobs (`'static`, shared read-only).
-struct ParSnapshot {
+/// The static inputs of phase A: map bounds, travel cost, step length and
+/// obstacles. Pooled jobs clone it; the obstacle list is shared, not copied.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Motion {
     size_x: f32,
     size_y: f32,
     beta: f32,
     max_step: f32,
     obstacles: Arc<Vec<Rect>>,
+}
+
+impl Motion {
+    /// Whether the segment `from -> to` stays inside the map and clear of
+    /// every obstacle.
+    #[inline]
+    pub(crate) fn path_clear(&self, from: &Point, to: &Point) -> bool {
+        if to.x < 0.0 || to.x > self.size_x || to.y < 0.0 || to.y > self.size_y {
+            return false;
+        }
+        !self.obstacles.iter().any(|r| r.intersects_segment(from, to))
+    }
+
+    /// One worker's phase-A physics: mode classification, route legality
+    /// and the tentative end position. Pure in its inputs — this is what
+    /// makes the phase chunkable.
+    #[inline]
+    fn worker(
+        &self,
+        x: f32,
+        y: f32,
+        energy: f32,
+        mv: Move,
+        charge: bool,
+    ) -> (u8, bool, f32, f32, f32) {
+        if charge {
+            return (MODE_CHARGE, false, x, y, 0.0);
+        }
+        if energy <= 0.0 {
+            return (MODE_EXHAUSTED, false, x, y, 0.0);
+        }
+        let start = Point::new(x, y);
+        let (dx, dy) = mv.displacement(self.max_step);
+        let target = start.offset(dx, dy);
+        let legal = mv == Move::Stay
+            || (self.path_clear(&start, &target) && self.beta * start.dist(&target) <= energy);
+        let (end, collided) = if legal { (target, false) } else { (start, true) };
+        let traveled = start.dist(&end);
+        (MODE_MOVE, collided, end.x, end.y, traveled)
+    }
+}
+
+/// Inputs snapshotted for pooled phase-A jobs (`'static`, shared read-only).
+struct ParSnapshot {
+    motion: Motion,
     x: Vec<f32>,
     y: Vec<f32>,
     energy: Vec<f32>,
@@ -496,18 +529,8 @@ fn phase_a_range(
     for i in lo..hi {
         let code = snap.act[i];
         let mv = Move::from_index(code & 0xff);
-        let (mode, collided, ex, ey, tr) = phase_a_one(
-            snap.size_x,
-            snap.size_y,
-            snap.beta,
-            snap.max_step,
-            &snap.obstacles,
-            snap.x[i],
-            snap.y[i],
-            snap.energy[i],
-            mv,
-            code & ACT_CHARGE != 0,
-        );
+        let (mode, collided, ex, ey, tr) =
+            snap.motion.worker(snap.x[i], snap.y[i], snap.energy[i], mv, code & ACT_CHARGE != 0);
         end_x[i - lo] = ex;
         end_y[i - lo] = ey;
         traveled[i - lo] = tr;
@@ -516,24 +539,14 @@ fn phase_a_range(
 }
 
 /// Runs phase A, sequentially or pool-chunked above the fleet threshold.
-fn phase_a(cfg: &EnvConfig, fleet: &FleetState, scr: &mut FleetScratch, actions: &[WorkerAction]) {
+fn phase_a(fleet: &FleetState, scr: &mut FleetScratch, actions: &[WorkerAction]) {
     let w = actions.len();
     let threads = kernel_threads().min(w / FLEET_PAR_MIN_WORKERS).max(1);
     if threads <= 1 {
         // Sequential columnar loop: same scalar kernel, no snapshot copies.
         for (i, a) in actions.iter().enumerate() {
-            let (mode, collided, ex, ey, tr) = phase_a_one(
-                cfg.size_x,
-                cfg.size_y,
-                cfg.beta,
-                cfg.max_step,
-                &fleet.obstacles,
-                fleet.x[i],
-                fleet.y[i],
-                fleet.energy[i],
-                a.movement,
-                a.charge,
-            );
+            let (mode, collided, ex, ey, tr) =
+                fleet.motion.worker(fleet.x[i], fleet.y[i], fleet.energy[i], a.movement, a.charge);
             scr.end_x[i] = ex;
             scr.end_y[i] = ey;
             scr.traveled[i] = tr;
@@ -557,17 +570,7 @@ fn phase_a(cfg: &EnvConfig, fleet: &FleetState, scr: &mut FleetScratch, actions:
     y.extend_from_slice(&fleet.y);
     let mut energy = arena::take_f32(w);
     energy.extend_from_slice(&fleet.energy);
-    let snap = Arc::new(ParSnapshot {
-        size_x: cfg.size_x,
-        size_y: cfg.size_y,
-        beta: cfg.beta,
-        max_step: cfg.max_step,
-        obstacles: Arc::clone(&fleet.obstacles),
-        x,
-        y,
-        energy,
-        act,
-    });
+    let snap = Arc::new(ParSnapshot { motion: fleet.motion.clone(), x, y, energy, act });
 
     let chunk = w.div_ceil(threads);
     type ChunkOut = (usize, usize, Vec<f32>, Vec<f32>, Vec<f32>, Vec<usize>);
@@ -655,23 +658,21 @@ fn phase_a(cfg: &EnvConfig, fleet: &FleetState, scr: &mut FleetScratch, actions:
 // ---- the step kernel ------------------------------------------------------
 
 /// Advances the fleet columns by one slot, filling the scratch outcome
-/// columns. Bitwise-equivalent to the original AoS loop (kept as
-/// `CrowdsensingEnv::step_reference`).
+/// columns. Bitwise-equivalent to the per-entity AoS loop kept as the
+/// oracle of `tests/fleet_equivalence.rs`.
 pub(crate) fn step_columns(
     cfg: &EnvConfig,
     fleet: &mut FleetState,
     scr: &mut FleetScratch,
     actions: &[WorkerAction],
-    sparse_level: &mut [f32],
-    initial_total_data: f32,
 ) {
     let w = actions.len();
-    scr.prepare(w, fleet.poi_x.len(), fleet.st_x.len());
+    scr.prepare(w, fleet.poi_x.len(), fleet.stations.len());
 
-    phase_a(cfg, fleet, scr, actions);
+    phase_a(fleet, scr, actions);
 
     // Phase B: worker-index-order resolution of stations and PoIs — the
-    // paper's competition semantics, identical to the reference loop.
+    // paper's competition semantics, identical to the per-entity loop.
     let g = cfg.sensing_range;
     let lambda = cfg.collect_rate;
     // Index-driven on purpose: the body reads and writes a dozen parallel
@@ -682,11 +683,11 @@ pub(crate) fn step_columns(
             MODE_CHARGE => {
                 scr.out_charging[wi] = 1;
                 let pos = Point::new(fleet.x[wi], fleet.y[wi]);
-                let slot = (0..fleet.st_x.len()).find(|&si| {
-                    !scr.station_busy[si]
-                        && Point::new(fleet.st_x[si], fleet.st_y[si]).dist(&pos)
-                            <= fleet.st_range[si]
-                });
+                let slot = fleet
+                    .stations
+                    .iter()
+                    .zip(&scr.station_busy)
+                    .position(|(s, &busy)| !busy && s.in_range(&pos));
                 if let Some(si) = slot {
                     scr.station_busy[si] = true;
                     let capacity = fleet.capacity[wi];
@@ -710,8 +711,8 @@ pub(crate) fn step_columns(
                 let end = Point::new(scr.end_x[wi], scr.end_y[wi]);
 
                 // Drain in ascending PoI index order: the candidate list is
-                // sorted so the floating-point sum order matches the
-                // reference full scan (skipped PoIs contribute exactly 0.0,
+                // sorted so the floating-point sum order matches a full
+                // index-order scan (skipped PoIs contribute exactly 0.0,
                 // which cannot change the accumulator's bits).
                 let mut q = 0.0;
                 scr.cand.clear();
@@ -740,10 +741,10 @@ pub(crate) fn step_columns(
                 scr.out_collected[wi] = q;
                 scr.out_consumed[wi] = consumed;
 
-                if initial_total_data > 0.0 {
-                    let ratio = fleet.total_collected[wi] / initial_total_data;
-                    if ratio - sparse_level[wi] >= cfg.epsilon1 {
-                        sparse_level[wi] = ratio;
+                if fleet.initial_total_data > 0.0 {
+                    let ratio = fleet.total_collected[wi] / fleet.initial_total_data;
+                    if ratio - fleet.sparse_level[wi] >= cfg.epsilon1 {
+                        fleet.sparse_level[wi] = ratio;
                         scr.out_data_pulse[wi] = 1;
                     }
                 }

@@ -9,7 +9,8 @@
 //! * `ρ` — energy efficiency (Eqn 6): Jain's fairness index over per-PoI
 //!   collection fractions, times the mean per-worker data-per-energy.
 
-use crate::entities::{Poi, Worker};
+use crate::entities::collected_fraction;
+use crate::fleet::FleetState;
 use serde::{Deserialize, Serialize};
 
 /// Snapshot of the three paper metrics.
@@ -41,33 +42,38 @@ pub fn jain_index(values: impl Iterator<Item = f32> + Clone) -> f32 {
     }
 }
 
-/// Computes all metrics from the current entity states.
-pub fn compute(workers: &[Worker], pois: &[Poi]) -> Metrics {
-    let initial_total: f32 = pois.iter().map(|p| p.initial_data).sum();
-    let collected_total: f32 = workers.iter().map(|w| w.total_collected).sum();
+/// Computes all metrics from the fleet's columns. Every sum runs in entity
+/// index order.
+pub fn compute(fleet: &FleetState) -> Metrics {
+    let initial_total = fleet.initial_total_data;
+    let collected_total: f32 = fleet.total_collected.iter().sum();
     let kappa = if initial_total > 0.0 { (collected_total / initial_total).min(1.0) } else { 0.0 };
 
-    let xi = if pois.is_empty() {
+    let fractions =
+        fleet.poi_initial.iter().zip(&fleet.poi_data).map(|(&i, &d)| collected_fraction(i, d));
+    let n_pois = fleet.poi_initial.len();
+    let xi = if n_pois == 0 {
         0.0
     } else {
-        pois.iter().map(Poi::remaining_fraction).sum::<f32>() / pois.len() as f32
+        fractions.clone().map(|c| 1.0 - c).sum::<f32>() / n_pois as f32
     };
 
     // Jain fairness over per-PoI collection fractions. Eqn (6) divides each
     // fraction by λ, but Jain's index is scale invariant so the factor
     // cancels exactly.
-    let fairness = jain_index(pois.iter().map(Poi::collected_fraction));
+    let fairness = jain_index(fractions);
 
-    let per_worker_eff = if workers.is_empty() {
+    let n_workers = fleet.total_collected.len();
+    let per_worker_eff = if n_workers == 0 {
         0.0
     } else {
-        workers
+        fleet
+            .total_collected
             .iter()
-            .map(
-                |w| if w.total_consumed > 0.0 { w.total_collected / w.total_consumed } else { 0.0 },
-            )
+            .zip(&fleet.total_consumed)
+            .map(|(&collected, &consumed)| if consumed > 0.0 { collected / consumed } else { 0.0 })
             .sum::<f32>()
-            / workers.len() as f32
+            / n_workers as f32
     };
 
     Metrics {
@@ -82,7 +88,15 @@ pub fn compute(workers: &[Worker], pois: &[Poi]) -> Metrics {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::config::EnvConfig;
+    use crate::entities::{Poi, Worker};
     use crate::geometry::Point;
+
+    fn compute(workers: &[Worker], pois: &[Poi]) -> Metrics {
+        let mut fleet = FleetState::default();
+        fleet.load(&EnvConfig::tiny(), workers, pois, &[]);
+        super::compute(&fleet)
+    }
 
     fn poi(initial: f32, remaining: f32) -> Poi {
         let mut p = Poi::new(Point::new(0.0, 0.0), initial);

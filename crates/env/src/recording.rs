@@ -117,8 +117,8 @@ impl Recorder {
         assert_eq!(env.time(), 0, "start recording before the first step");
         Self {
             config: env.config().clone(),
-            workers: env.workers().to_vec(),
-            pois: env.pois().to_vec(),
+            workers: env.workers().iter().collect(),
+            pois: env.pois().iter().collect(),
             stations: env.stations().to_vec(),
             actions: Vec::new(),
         }

@@ -13,6 +13,7 @@
 //!    by the horizon, making coverage fairness visible to the policy.
 
 use crate::config::EnvConfig;
+use crate::entities::energy_ratio;
 use crate::env::CrowdsensingEnv;
 use crate::geometry::Point;
 
@@ -55,21 +56,22 @@ pub fn encode_into(env: &CrowdsensingEnv, out: &mut Vec<f32>) {
     let (ch_workers, rest) = out[base..].split_at_mut(g2);
     let (ch_map, ch_access) = rest.split_at_mut(g2);
 
-    let w_total = env.workers().len() as f32;
-    for (wi, w) in env.workers().iter().enumerate() {
-        let (cx, cy) = cell_of(cfg, &w.pos);
+    let fleet = env.fleet();
+    let w_total = fleet.num_workers() as f32;
+    for wi in 0..fleet.num_workers() {
+        let (cx, cy) = cell_of(cfg, &Point::new(fleet.x[wi], fleet.y[wi]));
+        let ratio = energy_ratio(fleet.energy[wi], fleet.capacity[wi]);
         ch_workers[idx(cfg, cx, cy)] += if cfg.paper_worker_channel {
             // Ablation: the paper's literal encoding (energy only).
-            w.energy_ratio()
+            ratio
         } else {
-            (wi as f32 + 1.0 + 0.5 * w.energy_ratio()) / w_total
+            (wi as f32 + 1.0 + 0.5 * ratio) / w_total
         };
     }
 
     // Obstacles first, then PoIs and stations layered on top. The static
     // layers (obstacle cells, each PoI's cell) are cached by
     // `FleetState::load`; PoI sums run over the columns in index order.
-    let fleet = env.fleet();
     for &c in &fleet.obstacle_cells {
         ch_map[c as usize] = OBSTACLE_MARK;
     }
@@ -79,7 +81,7 @@ pub fn encode_into(env: &CrowdsensingEnv, out: &mut Vec<f32>) {
         ch_map[c as usize] += data;
         ch_access[c as usize] += access as f32 / horizon;
     }
-    for s in env.stations() {
+    for s in &fleet.stations {
         let (cx, cy) = cell_of(cfg, &s.pos);
         ch_map[idx(cfg, cx, cy)] += STATION_MARK;
     }
@@ -146,7 +148,7 @@ mod tests {
         let mut env = CrowdsensingEnv::new(cfg.clone());
         env.set_worker_energy(0, cfg.initial_energy / 2.0);
         let s = encode(&env);
-        let (cx, cy) = cell_of(&cfg, &env.workers()[0].pos);
+        let (cx, cy) = cell_of(&cfg, &env.workers().get(0).pos);
         let v = s[cy * cfg.grid + cx];
         // Single worker at half battery: (0 + 1 + 0.5*0.5) / 1 = 1.25.
         assert!((v - 1.25).abs() < 1e-6);
@@ -172,7 +174,7 @@ mod tests {
         let mut cfg = EnvConfig::tiny();
         cfg.num_pois = 1;
         let mut env = CrowdsensingEnv::new(cfg.clone());
-        env.teleport_worker(0, env.pois()[0].pos);
+        env.teleport_worker(0, env.pois().get(0).pos);
         let before = encode(&env);
         env.step(&[WorkerAction::go(Move::Stay)]);
         let after = encode(&env);
@@ -190,7 +192,7 @@ mod tests {
         let mut env = CrowdsensingEnv::new(cfg.clone());
         env.set_worker_energy(0, cfg.initial_energy / 2.0);
         let s = encode(&env);
-        let (cx, cy) = cell_of(&cfg, &env.workers()[0].pos);
+        let (cx, cy) = cell_of(&cfg, &env.workers().get(0).pos);
         assert!((s[cy * cfg.grid + cx] - 0.5).abs() < 1e-6);
     }
 
@@ -206,7 +208,7 @@ mod tests {
         let mut cfg = EnvConfig::tiny();
         cfg.num_pois = 5;
         let mut env = CrowdsensingEnv::new(cfg);
-        env.teleport_worker(0, env.pois()[0].pos);
+        env.teleport_worker(0, env.pois().get(0).pos);
         let s0 = encode(&env);
         for _ in 0..6 {
             env.step(&[WorkerAction::go(Move::Stay)]);

@@ -141,7 +141,7 @@ mod tests {
             summary.record(&r);
         }
         assert_eq!(summary.slots, 12);
-        let w = &env.workers()[0];
+        let w = env.workers().get(0);
         assert!((summary.total_collected() - w.total_collected).abs() < 1e-5);
         assert!((summary.total_consumed() - w.total_consumed).abs() < 1e-5);
         assert!(summary.utilization() > 0.0);

@@ -50,12 +50,12 @@ fn physics_invariants_hold_under_arbitrary_actions() {
             let result = env.step(&actions);
 
             // Energy stays within [0, capacity].
-            for w in env.workers() {
+            for w in env.workers().iter() {
                 assert!(w.energy >= -1e-4, "negative energy {}", w.energy);
                 assert!(w.energy <= w.capacity + 1e-4, "overfull battery");
             }
             // Workers stay inside the space and outside obstacles.
-            for w in env.workers() {
+            for w in env.workers().iter() {
                 assert!(w.pos.x >= 0.0 && w.pos.x <= cfg.size_x);
                 assert!(w.pos.y >= 0.0 && w.pos.y <= cfg.size_y);
                 assert!(!cfg.obstacles.iter().any(|r| r.contains(&w.pos)));
@@ -177,8 +177,8 @@ fn scenario_generation_is_pure() {
         let cfg = env_config(&mut rng);
         let a = CrowdsensingEnv::new(cfg.clone());
         let b = CrowdsensingEnv::new(cfg);
-        assert_eq!(a.pois(), b.pois());
-        assert_eq!(a.workers(), b.workers());
+        assert_eq!(a.pois().iter().collect::<Vec<_>>(), b.pois().iter().collect::<Vec<_>>());
+        assert_eq!(a.workers().iter().collect::<Vec<_>>(), b.workers().iter().collect::<Vec<_>>());
     }
 }
 

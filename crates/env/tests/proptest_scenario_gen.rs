@@ -90,8 +90,10 @@ fn generated_envs_reset_to_their_template() {
             env.step(&actions);
         }
         env.reset();
-        assert_eq!(env.workers(), &scn.workers[..], "{family:?}: reset lost the worker template");
-        assert_eq!(env.pois(), &scn.pois[..], "{family:?}: reset lost the PoI template");
+        let workers: Vec<Worker> = env.workers().iter().collect();
+        assert_eq!(workers, scn.workers, "{family:?}: reset lost the worker template");
+        let pois: Vec<Poi> = env.pois().iter().collect();
+        assert_eq!(pois, scn.pois, "{family:?}: reset lost the PoI template");
         assert_eq!(env.time(), 0);
     }
 }

@@ -62,7 +62,7 @@ fn main() {
         let before: Vec<Point> = env.workers().iter().map(|w| w.pos).collect();
         env.step(&a.actions);
         for (wi, pos) in before.iter().enumerate() {
-            let next = env.workers()[wi].pos;
+            let next = env.workers().get(wi).pos;
             heat.deposit(&env_cfg, pos, spatial.prediction_error(wi, pos, a.moves[wi], &next));
         }
         trajectory.record(env.workers().iter().map(|w| w.pos));

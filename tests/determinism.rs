@@ -44,9 +44,9 @@ fn scenario_generation_is_stable_across_env_instances() {
     let e = EnvConfig::paper_default();
     let a = CrowdsensingEnv::new(e.clone());
     let b = CrowdsensingEnv::new(e);
-    assert_eq!(a.pois(), b.pois());
+    assert_eq!(a.pois().iter().collect::<Vec<_>>(), b.pois().iter().collect::<Vec<_>>());
     assert_eq!(a.stations(), b.stations());
-    assert_eq!(a.workers(), b.workers());
+    assert_eq!(a.workers().iter().collect::<Vec<_>>(), b.workers().iter().collect::<Vec<_>>());
 }
 
 #[test]

@@ -29,7 +29,7 @@ fn policy_episode_records_and_replays_exactly() {
         let a = sample_action(trainer.net(), trainer.store(), &env, opts, &mut rng);
         recorder.log(&a.actions);
         env.step(&a.actions);
-        live_positions.push(env.workers()[0].pos);
+        live_positions.push(env.workers().get(0).pos);
     }
     let recording = recorder.finish(&env);
 
@@ -40,7 +40,7 @@ fn policy_episode_records_and_replays_exactly() {
 
     // Replay and compare the trajectory step by step.
     let mut replay_positions = Vec::new();
-    let replayed_env = restored.replay(|e, _| replay_positions.push(e.workers()[0].pos));
+    let replayed_env = restored.replay(|e, _| replay_positions.push(e.workers().get(0).pos));
     assert_eq!(replay_positions, live_positions, "replay diverged from the live episode");
     assert_eq!(replayed_env.metrics(), env.metrics());
 }
@@ -102,8 +102,8 @@ fn every_family_records_serializes_and_replays_bit_identically() {
         assert_eq!(replay_states, live_states, "{family:?}: replay trajectory diverged");
         assert_eq!(replayed_env.metrics(), env.metrics(), "{family:?}: final metrics diverged");
         assert_eq!(
-            replayed_env.workers(),
-            env.workers(),
+            replayed_env.workers().iter().collect::<Vec<_>>(),
+            env.workers().iter().collect::<Vec<_>>(),
             "{family:?}: final worker state diverged"
         );
     }
