@@ -100,7 +100,10 @@ fn lcg_fill(seed: u32, len: usize) -> Vec<f32> {
 fn bench_matmuls(iters: u64, out: &mut Vec<Rec>) {
     /// Timed batches per record; the fastest batch is reported.
     const REPS: u32 = 5;
-    let shapes: &[(usize, usize, usize)] = &[(64, 64, 64), (256, 256, 256), (33, 65, 127)];
+    // The last two are the network's own shapes: the batch-of-one `fc`
+    // layer (the small-M route) and the 1000-worker fleet head.
+    let shapes: &[(usize, usize, usize)] =
+        &[(64, 64, 64), (256, 256, 256), (33, 65, 127), (1, 256, 128), (1000, 128, 11)];
     for &(m, k, n) in shapes {
         let a = lcg_fill(1, m * k);
         let b = lcg_fill(2, k * n);
@@ -134,9 +137,13 @@ fn bench_matmuls(iters: u64, out: &mut Vec<Rec>) {
         // The headline 256³ shape carries the full thread ladder so the
         // trajectory shows how pooled dispatch scales (t8 included per the
         // ROADMAP scaling target); small shapes keep t1/t2, which is enough
-        // to catch the dispatch threshold misfiring.
-        let thread_ladder: &[usize] =
-            if (m, k, n) == (256, 256, 256) { &[1, 2, 4, 8] } else { &[1, 2] };
+        // to catch the dispatch threshold misfiring. The network shapes
+        // run single-threaded, as sampling does.
+        let thread_ladder: &[usize] = match (m, k, n) {
+            (256, 256, 256) => &[1, 2, 4, 8],
+            (1, 256, 128) | (1000, 128, 11) => &[1],
+            _ => &[1, 2],
+        };
         for &threads in thread_ladder {
             let ns = time_ns_reps(iters, REPS, || {
                 gemm::gemm(

@@ -20,6 +20,7 @@ use crate::metrics::{self, Metrics};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::Arc;
+use vc_nn::arena;
 use vc_telemetry::{Counter, Field, Gauge, Telemetry};
 
 /// What happened to one worker during a slot.
@@ -324,32 +325,34 @@ impl CrowdsensingEnv {
         Some(target)
     }
 
-    /// Per-move legality mask for a worker (`Stay` is always legal).
+    /// Per-move legality mask for a worker: `Stay` is always legal, any
+    /// other move exactly when [`Self::peek_move`] returns a target. One
+    /// worker of [`FleetState::action_masks`].
     pub fn valid_moves(&self, worker: usize) -> [bool; NUM_MOVES] {
         let mut mask = [false; NUM_MOVES];
-        for (i, m) in Move::ALL.iter().enumerate() {
-            mask[i] = self.peek_move(worker, *m).is_some();
-        }
-        mask[Move::Stay.index()] = true;
+        self.fleet.move_mask_into(worker, &self.fleet.motion.steps(), &mut mask);
         mask
     }
 
     /// Whether a worker is currently within range of any charging station.
+    /// One worker of [`FleetState::action_masks`].
     pub fn can_charge(&self, worker: usize) -> bool {
-        let p = Point::new(self.fleet.x[worker], self.fleet.y[worker]);
-        self.fleet.stations.iter().any(|s| s.in_range(&p))
+        self.fleet.can_charge(worker)
     }
 
     /// The data a worker standing at `pos` would collect this slot
-    /// (Σ min(λδ₀, δ_t) over in-range PoIs) — the lookahead quantity used by
-    /// the Greedy and D&C planners.
+    /// (Σ min(λδ₀, δ_t) over in-range PoIs, in ascending PoI order) — the
+    /// lookahead quantity used by the Greedy and D&C planners.
     pub fn potential_collection(&self, pos: &Point) -> f32 {
-        let g = self.cfg.sensing_range;
         let f = &self.fleet;
-        (0..f.poi_x.len())
-            .filter(|&i| Point::new(f.poi_x[i], f.poi_y[i]).dist(pos) <= g)
-            .map(|i| (self.cfg.collect_rate * f.poi_initial[i]).min(f.poi_data[i]))
-            .sum()
+        let mut ids = arena::take_usize(16);
+        f.poi_index.in_range_into(*pos, self.cfg.sensing_range, &mut ids);
+        let q = ids
+            .iter()
+            .map(|&i| (self.cfg.collect_rate * f.poi_initial[i]).min(f.poi_data[i]))
+            .sum();
+        arena::put_usize(ids);
+        q
     }
 
     // ---- dynamics -----------------------------------------------------------

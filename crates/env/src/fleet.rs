@@ -26,14 +26,17 @@
 //!   drained in index order (earlier workers collect first). Per-worker
 //!   energy/pulse accounting rides along in the same order.
 //!
-//! The PoI in-range scan uses a uniform cell index ([`PoiGrid`]) so the
-//! per-worker candidate set is O(local density) instead of O(P). Candidates
-//! are sorted back into global PoI index order before draining, and the
-//! exact distance predicate is re-applied per candidate, so both the drain
-//! *set* and the floating-point accumulation *order* match a full PoI scan
-//! bit for bit.
+//! Both range queries — the PoIs a worker senses and the stations it can
+//! charge at — go through a static [`CellIndex`], so their cost is
+//! O(local density) instead of O(P) or O(S). The index applies the exact
+//! distance predicate to positions copied in cell order and emits in-range
+//! PoI ids in ascending order, so both the drain *set* and the
+//! floating-point accumulation *order* match a full PoI scan bit for bit;
+//! the station choice takes the lowest in-range free index, as a full
+//! station scan does. The action masks ([`FleetState::action_masks`]) reuse
+//! the same kernels in one columnar pass.
 
-use crate::action::{Move, WorkerAction};
+use crate::action::{Move, WorkerAction, NUM_MOVES};
 use crate::config::EnvConfig;
 use crate::entities::{ChargingStation, Poi, Worker};
 use crate::geometry::{Point, Rect};
@@ -61,73 +64,117 @@ pub const FLEET_PAR_MIN_WORKERS: usize = 1024;
 
 // ---- spatial index --------------------------------------------------------
 
-/// Uniform-cell spatial index over PoI positions (CSR layout).
+/// Static uniform-cell spatial index over fixed positions (PoIs or charging
+/// stations), CSR layout, built once per [`FleetState::load`].
 ///
-/// Cells at least as wide as the largest query radius would be ideal, but
-/// correctness never depends on the cell size: a query walks every cell
-/// overlapping the `[x±g, y±g]` box, so the candidate set is always a
-/// superset of the true in-range set and the exact predicate filters it.
+/// Each entry's position is copied next to its id in cell order, so a query
+/// walks one contiguous run of `(x, y, id)` entries per cell row and never
+/// touches the entity columns. Correctness never depends on the cell size:
+/// a query visits every cell overlapping a box a little wider than
+/// `[x±r, y±r]`, so its candidates are a superset of the entries the exact
+/// predicate admits, and the caller applies that predicate to the copied
+/// positions — the same values a full scan reads.
 #[derive(Clone, Debug, Default)]
-struct PoiGrid {
+pub(crate) struct CellIndex {
     nx: usize,
     ny: usize,
     cell: f32,
-    /// CSR row starts, `nx*ny + 1` entries.
-    start: Vec<usize>,
-    /// PoI indices grouped by cell; within a cell they keep ascending order.
-    ids: Vec<u32>,
+    /// CSR run starts, `nx*ny + 1` entries: cell `c` holds entries
+    /// `start[c]..start[c + 1]`.
+    start: Vec<u32>,
+    /// The entries in cell order; ids ascend within each cell.
+    entries: Vec<Entry>,
 }
 
-impl PoiGrid {
-    fn cell_index(&self, x: f32, y: f32) -> (usize, usize) {
+/// One indexed position and the id of the entity standing there.
+#[derive(Clone, Copy, Debug, Default)]
+struct Entry {
+    x: f32,
+    y: f32,
+    id: u32,
+}
+
+impl Entry {
+    fn pos(&self) -> Point {
+        Point::new(self.x, self.y)
+    }
+}
+
+impl CellIndex {
+    /// The cell holding `(x, y)`, clamped into the grid (negative and NaN
+    /// coordinates land in the first cell, coordinates past the map in the
+    /// last). Monotone in each coordinate, so the clamped cell of a point in
+    /// a box lies within the clamped cells of the box corners.
+    fn cell_of(&self, x: f32, y: f32) -> (usize, usize) {
         let cx = ((x / self.cell) as usize).min(self.nx - 1);
         let cy = ((y / self.cell) as usize).min(self.ny - 1);
         (cx, cy)
     }
 
-    /// Rebuilds the index for the given PoI columns.
-    fn build(&mut self, cfg: &EnvConfig, xs: &[f32], ys: &[f32]) {
-        // Cell edge: the sensing range (so a query box spans ~3×3 cells),
-        // floored so huge maps stay within a bounded cell count.
-        self.cell = cfg.sensing_range.max(cfg.size_x.max(cfg.size_y) / 256.0).max(1e-6);
-        self.nx = ((cfg.size_x / self.cell).ceil() as usize).max(1);
-        self.ny = ((cfg.size_y / self.cell).ceil() as usize).max(1);
+    /// Rebuilds the index over the positions `(xs[i], ys[i])` of a
+    /// `size_x × size_y` map with square cells of edge `cell`.
+    fn build(&mut self, cell: f32, size_x: f32, size_y: f32, xs: &[f32], ys: &[f32]) {
+        self.cell = cell.max(1e-6);
+        self.nx = ((size_x / self.cell).ceil() as usize).max(1);
+        self.ny = ((size_y / self.cell).ceil() as usize).max(1);
         let cells = self.nx * self.ny;
+        let flat: Vec<usize> = xs
+            .iter()
+            .zip(ys)
+            .map(|(&x, &y)| {
+                let (cx, cy) = self.cell_of(x, y);
+                cy * self.nx + cx
+            })
+            .collect();
+        // Counting sort: tally, prefix-sum, then scatter in ascending id
+        // order so each cell's run stays id-sorted.
         self.start.clear();
         self.start.resize(cells + 1, 0);
-        // Counting sort: pass 1 tallies, pass 2 scatters in ascending PoI
-        // order so each cell's id run stays index-sorted.
-        for i in 0..xs.len() {
-            let (cx, cy) = self.cell_index(xs[i], ys[i]);
-            self.start[cy * self.nx + cx + 1] += 1;
+        for &c in &flat {
+            self.start[c + 1] += 1;
         }
         for c in 0..cells {
             self.start[c + 1] += self.start[c];
         }
-        self.ids.clear();
-        self.ids.resize(xs.len(), 0);
         let mut cursor = self.start.clone();
-        for i in 0..xs.len() {
-            let (cx, cy) = self.cell_index(xs[i], ys[i]);
-            let slot = cursor[cy * self.nx + cx];
-            self.ids[slot] = i as u32;
-            cursor[cy * self.nx + cx] += 1;
+        self.entries.clear();
+        self.entries.resize(flat.len(), Entry::default());
+        for (i, &c) in flat.iter().enumerate() {
+            let k = cursor[c] as usize;
+            cursor[c] += 1;
+            self.entries[k] = Entry { x: xs[i], y: ys[i], id: i as u32 };
         }
     }
 
-    /// Pushes every PoI index whose cell overlaps the `[x±g, y±g]` box.
-    /// The result is a superset of the in-range set, unsorted across cells.
-    fn candidates_into(&self, x: f32, y: f32, g: f32, out: &mut Vec<usize>) {
-        let (cx0, cy0) = self.cell_index((x - g).max(0.0), (y - g).max(0.0));
-        let (cx1, cy1) = self.cell_index(x + g, y + g);
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let c = cy * self.nx + cx;
-                for &id in &self.ids[self.start[c]..self.start[c + 1]] {
-                    out.push(id as usize);
+    /// The entries whose cell overlaps the query box around `q`, as one
+    /// contiguous run per cell row: a superset of the entries within `r`
+    /// of `q`, in no global id order.
+    #[inline]
+    fn runs(&self, q: Point, r: f32) -> impl Iterator<Item = &[Entry]> + '_ {
+        // A few ulps past `r`: rounding inside `dist` can admit an entry
+        // whose true offset exceeds `r` by a few ulps, and rounding in
+        // `q ± reach` must not cut such an entry's cell off either.
+        let reach = r + (r + q.x.abs() + q.y.abs()) * (8.0 * f32::EPSILON);
+        let (cx0, cy0) = self.cell_of(q.x - reach, q.y - reach);
+        let (cx1, cy1) = self.cell_of(q.x + reach, q.y + reach);
+        (cy0..=cy1).map(move |cy| {
+            let row = cy * self.nx;
+            &self.entries[self.start[row + cx0] as usize..self.start[row + cx1 + 1] as usize]
+        })
+    }
+
+    /// Appends the id of every entry with `pos.dist(q) <= r` — the exact
+    /// predicate of a full scan — to `out`, in ascending id order.
+    pub(crate) fn in_range_into(&self, q: Point, r: f32, out: &mut Vec<usize>) {
+        let base = out.len();
+        for run in self.runs(q, r) {
+            for e in run {
+                if e.pos().dist(&q) <= r {
+                    out.push(e.id as usize);
                 }
             }
         }
+        out[base..].sort_unstable();
     }
 }
 
@@ -166,7 +213,13 @@ pub struct FleetState {
     pub(crate) poi_cell: Vec<u32>,
     /// Observation-grid cells overlapped by an obstacle (static layer).
     pub(crate) obstacle_cells: Vec<u32>,
-    grid: PoiGrid,
+    /// Cell index over the PoI positions, queried with the sensing range.
+    pub(crate) poi_index: CellIndex,
+    /// Cell index over the station positions, queried with
+    /// [`Self::station_reach`] and filtered by each station's own range.
+    station_index: CellIndex,
+    /// The largest station range.
+    station_reach: f32,
     /// The static inputs of phase A.
     pub(crate) motion: Motion,
 }
@@ -216,7 +269,19 @@ impl FleetState {
         self.initial_total_data = pois.iter().map(|p| p.initial_data).sum();
         self.stations.clear();
         self.stations.extend_from_slice(stations);
-        self.grid.build(cfg, &self.poi_x, &self.poi_y);
+        // PoI cells as wide as the sensing range (a query spans ~3×3 cells),
+        // floored so huge maps keep a bounded cell count.
+        let span = cfg.size_x.max(cfg.size_y);
+        let poi_cell = cfg.sensing_range.max(span / 256.0);
+        self.poi_index.build(poi_cell, cfg.size_x, cfg.size_y, &self.poi_x, &self.poi_y);
+        // Station cells are at least as wide as the largest range and hold
+        // about one station each: stations are few, so a sparse grid buys
+        // nothing.
+        self.station_reach = stations.iter().map(|s| s.range).fold(0.0, f32::max);
+        let per_station = (cfg.size_x * cfg.size_y / stations.len().max(1) as f32).sqrt();
+        let station_cell = self.station_reach.max(span / 256.0).max(per_station);
+        let (sx, sy): (Vec<f32>, Vec<f32>) = stations.iter().map(|s| (s.pos.x, s.pos.y)).unzip();
+        self.station_index.build(station_cell, cfg.size_x, cfg.size_y, &sx, &sy);
         crate::state::static_cells(
             cfg,
             &self.poi_x,
@@ -231,6 +296,79 @@ impl FleetState {
             max_step: cfg.max_step,
             obstacles: Arc::new(cfg.obstacles.clone()),
         };
+    }
+
+    /// Fills every worker's action masks in one pass: `moves` (`[W·9]`,
+    /// worker-major, lanes in [`Move::ALL`] order) marks the moves
+    /// [`crate::env::CrowdsensingEnv::valid_moves`] allows, and `charge`
+    /// (`[W]`) the workers [`crate::env::CrowdsensingEnv::can_charge`]
+    /// admits — both are single-worker calls of the same kernels.
+    ///
+    /// # Panics
+    ///
+    /// If a mask length disagrees with the fleet size.
+    pub fn action_masks(&self, moves: &mut [bool], charge: &mut [bool]) {
+        let w = self.num_workers();
+        assert_eq!(moves.len(), w * NUM_MOVES, "move mask must be [W·9]");
+        assert_eq!(charge.len(), w, "charge mask must be [W]");
+        let steps = self.motion.steps();
+        for (wi, (mv, ch)) in moves.chunks_exact_mut(NUM_MOVES).zip(charge).enumerate() {
+            self.move_mask_into(wi, &steps, mv);
+            *ch = self.can_charge(wi);
+        }
+    }
+
+    /// Worker `wi`'s move mask into `out` (`[9]`): `Stay` is always legal,
+    /// any other move exactly when `peek_move` would return a target — the
+    /// worker has energy, the path is clear and the travel cost fits the
+    /// battery. `steps` holds [`Motion::steps`].
+    #[inline]
+    pub(crate) fn move_mask_into(
+        &self,
+        wi: usize,
+        steps: &[(f32, f32); NUM_MOVES],
+        out: &mut [bool],
+    ) {
+        let pos = Point::new(self.x[wi], self.y[wi]);
+        let energy = self.energy[wi];
+        let stay = Move::Stay.index();
+        // `peek_move`'s tests, in its order and with its NaN behavior: an
+        // exhausted worker may only stay; otherwise the path must be clear
+        // and `cost > energy` rejects, anything else passes.
+        if energy <= 0.0 {
+            for (mi, ok) in out.iter_mut().enumerate() {
+                *ok = mi == stay;
+            }
+            return;
+        }
+        for (ok, &(dx, dy)) in out.iter_mut().zip(steps) {
+            let target = pos.offset(dx, dy);
+            let cost = self.motion.beta * pos.dist(&target);
+            *ok = self.motion.path_clear(&pos, &target)
+                && !matches!(cost.partial_cmp(&energy), Some(std::cmp::Ordering::Greater));
+        }
+        out[stay] = true;
+    }
+
+    /// Whether worker `wi` stands within range of any charging station.
+    #[inline]
+    pub(crate) fn can_charge(&self, wi: usize) -> bool {
+        let pos = Point::new(self.x[wi], self.y[wi]);
+        self.station_index
+            .runs(pos, self.station_reach)
+            .flatten()
+            .any(|e| self.stations[e.id as usize].in_range(&pos))
+    }
+
+    /// The lowest-index station that is not `busy` and has `pos` in range.
+    #[inline]
+    fn free_station(&self, pos: Point, busy: &[bool]) -> Option<usize> {
+        self.station_index
+            .runs(pos, self.station_reach)
+            .flatten()
+            .map(|e| e.id as usize)
+            .filter(|&si| !busy[si] && self.stations[si].in_range(&pos))
+            .min()
     }
 
     /// The workers, as a view over the columns.
@@ -317,8 +455,7 @@ pub struct FleetScratch {
     mode: Vec<u8>,
     collided: Vec<u8>,
     station_busy: Vec<bool>,
-    /// PoI candidate indices for the worker currently draining (sorted back
-    /// into global index order before use).
+    /// In-range PoI ids of the worker currently draining, ascending.
     cand: Vec<usize>,
     // Outcome columns (the SoA form of `WorkerOutcome`).
     pub(crate) out_collected: Vec<f32>,
@@ -463,6 +600,11 @@ pub(crate) struct Motion {
 }
 
 impl Motion {
+    /// The displacement of every move, in [`Move::ALL`] order.
+    pub(crate) fn steps(&self) -> [(f32, f32); NUM_MOVES] {
+        Move::ALL.map(|m| m.displacement(self.max_step))
+    }
+
     /// Whether the segment `from -> to` stays inside the map and clear of
     /// every obstacle.
     #[inline]
@@ -683,12 +825,7 @@ pub(crate) fn step_columns(
             MODE_CHARGE => {
                 scr.out_charging[wi] = 1;
                 let pos = Point::new(fleet.x[wi], fleet.y[wi]);
-                let slot = fleet
-                    .stations
-                    .iter()
-                    .zip(&scr.station_busy)
-                    .position(|(s, &busy)| !busy && s.in_range(&pos));
-                if let Some(si) = slot {
+                if let Some(si) = fleet.free_station(pos, &scr.station_busy) {
                     scr.station_busy[si] = true;
                     let capacity = fleet.capacity[wi];
                     let sigma = cfg.charge_rate.min(capacity - fleet.energy[wi]).max(0.0);
@@ -710,24 +847,19 @@ pub(crate) fn step_columns(
                 scr.out_traveled[wi] = traveled;
                 let end = Point::new(scr.end_x[wi], scr.end_y[wi]);
 
-                // Drain in ascending PoI index order: the candidate list is
-                // sorted so the floating-point sum order matches a full
-                // index-order scan (skipped PoIs contribute exactly 0.0,
-                // which cannot change the accumulator's bits).
+                // Drain in ascending PoI index order, the order of a full
+                // scan, so the floating-point sum is bit-identical to it.
                 let mut q = 0.0;
                 scr.cand.clear();
-                fleet.grid.candidates_into(end.x, end.y, g, &mut scr.cand);
-                scr.cand.sort_unstable();
+                fleet.poi_index.in_range_into(end, g, &mut scr.cand);
                 for &pi in &scr.cand {
-                    if Point::new(fleet.poi_x[pi], fleet.poi_y[pi]).dist(&end) <= g {
-                        // `Poi::collect` on columns.
-                        let amount = (lambda * fleet.poi_initial[pi]).min(fleet.poi_data[pi]);
-                        if amount > 0.0 {
-                            fleet.poi_data[pi] -= amount;
-                            fleet.poi_access[pi] += 1;
-                        }
-                        q += amount;
+                    // `Poi::collect` on columns.
+                    let amount = (lambda * fleet.poi_initial[pi]).min(fleet.poi_data[pi]);
+                    if amount > 0.0 {
+                        fleet.poi_data[pi] -= amount;
+                        fleet.poi_access[pi] += 1;
                     }
+                    q += amount;
                 }
 
                 // Energy accounting (Eqn 3), floored at an empty battery.
@@ -758,36 +890,99 @@ pub(crate) fn step_columns(
 mod tests {
     use super::*;
 
+    /// The ids a full scan admits, ascending.
+    fn full_scan(xs: &[f32], ys: &[f32], q: Point, r: f32) -> Vec<usize> {
+        (0..xs.len()).filter(|&i| Point::new(xs[i], ys[i]).dist(&q) <= r).collect()
+    }
+
+    fn index(cell: f32, size: f32, xs: &[f32], ys: &[f32]) -> CellIndex {
+        let mut idx = CellIndex::default();
+        idx.build(cell, size, size, xs, ys);
+        idx
+    }
+
+    /// A PoI-grid query returns exactly a full scan's in-range ids, in
+    /// ascending order.
     #[test]
     fn poi_grid_candidates_cover_in_range_set() {
         let cfg = EnvConfig::paper_default();
         let xs: Vec<f32> = (0..200).map(|i| (i as f32 * 0.53) % cfg.size_x).collect();
         let ys: Vec<f32> = (0..200).map(|i| (i as f32 * 0.91) % cfg.size_y).collect();
-        let mut grid = PoiGrid::default();
-        grid.build(&cfg, &xs, &ys);
         let g = cfg.sensing_range;
-        for (qx, qy) in [(0.0, 0.0), (8.0, 8.0), (15.9, 0.1), (3.3, 12.7)] {
-            let mut cand = Vec::new();
-            grid.candidates_into(qx, qy, g, &mut cand);
-            let here = Point::new(qx, qy);
-            for i in 0..xs.len() {
-                if Point::new(xs[i], ys[i]).dist(&here) <= g {
-                    assert!(cand.contains(&i), "in-range PoI {i} missing at ({qx},{qy})");
-                }
+        let idx = index(g, cfg.size_x, &xs, &ys);
+        for (qx, qy) in [(0.0, 0.0), (8.0, 8.0), (15.9, 0.1), (3.3, 12.7), (-1.0, 17.0)] {
+            let q = Point::new(qx, qy);
+            let mut got = Vec::new();
+            idx.in_range_into(q, g, &mut got);
+            assert_eq!(got, full_scan(&xs, &ys, q, g), "query ({qx},{qy})");
+        }
+    }
+
+    #[test]
+    fn entries_on_cell_boundaries_and_the_far_map_edge_are_found() {
+        // Cells of edge 1 on a 4×4 map: every entry sits on a cell boundary,
+        // and the last column/row sits exactly at `size`, which clamps into
+        // the last cell.
+        let (size, cell) = (4.0f32, 1.0f32);
+        let mut xs = Vec::new();
+        let mut ys = Vec::new();
+        for y in 0..=4 {
+            for x in 0..=4 {
+                xs.push(x as f32);
+                ys.push(y as f32);
+            }
+        }
+        let idx = index(cell, size, &xs, &ys);
+        for (qx, qy, r) in
+            [(4.0, 4.0, 1.0), (4.0, 0.0, 1.0), (2.0, 2.0, 1.0), (3.0, 1.0, 0.0), (0.5, 4.0, 0.5)]
+        {
+            let q = Point::new(qx, qy);
+            let mut got = Vec::new();
+            idx.in_range_into(q, r, &mut got);
+            let want = full_scan(&xs, &ys, q, r);
+            assert!(!want.is_empty(), "query ({qx},{qy}) r={r} must hit a lattice point");
+            assert_eq!(got, want, "query ({qx},{qy}) r={r}");
+        }
+    }
+
+    /// Each cell's run is id-sorted and carries its entries' positions.
+    #[test]
+    fn poi_grid_cell_runs_are_index_sorted() {
+        let xs = [1.0, 1.1, 7.0, 1.05, 0.9];
+        let ys = [1.0, 1.1, 7.0, 1.05, 0.9];
+        let idx = index(0.8, 8.0, &xs, &ys);
+        for c in 0..idx.nx * idx.ny {
+            let run = &idx.entries[idx.start[c] as usize..idx.start[c + 1] as usize];
+            assert!(run.windows(2).all(|p| p[0].id < p[1].id), "cell {c} not sorted: {run:?}");
+            for e in run {
+                assert_eq!((e.x, e.y), (xs[e.id as usize], ys[e.id as usize]));
             }
         }
     }
 
     #[test]
-    fn poi_grid_cell_runs_are_index_sorted() {
-        let cfg = EnvConfig::tiny();
-        let xs = [1.0, 1.1, 7.0, 1.05, 0.9];
-        let ys = [1.0, 1.1, 7.0, 1.05, 0.9];
-        let mut grid = PoiGrid::default();
-        grid.build(&cfg, &xs, &ys);
-        for c in 0..grid.nx * grid.ny {
-            let run = &grid.ids[grid.start[c]..grid.start[c + 1]];
-            assert!(run.windows(2).all(|p| p[0] < p[1]), "cell {c} not sorted: {run:?}");
-        }
+    fn unequal_station_ranges_still_pick_the_lowest_free_index() {
+        // Station 0 reaches far, station 1 sits on the worker with a short
+        // range, station 2 is out of reach: the index is queried with the
+        // largest range and filtered per station.
+        let mut cfg = EnvConfig::tiny();
+        cfg.num_pois = 0;
+        let stations = [
+            ChargingStation::new(Point::new(1.0, 1.0), 5.0),
+            ChargingStation::new(Point::new(4.0, 4.0), 0.2),
+            ChargingStation::new(Point::new(7.5, 0.5), 0.3),
+        ];
+        let workers = [Worker::new(Point::new(4.0, 4.1), 40.0)];
+        let mut fleet = FleetState::default();
+        fleet.load(&cfg, &workers, &[], &stations);
+        let pos = Point::new(4.0, 4.1);
+        assert!(fleet.can_charge(0));
+        assert_eq!(fleet.free_station(pos, &[false, false, false]), Some(0));
+        assert_eq!(fleet.free_station(pos, &[true, false, false]), Some(1));
+        assert_eq!(fleet.free_station(pos, &[true, true, false]), None);
+        // Only the short-range station covers this spot.
+        let far = Point::new(7.4, 0.6);
+        assert_eq!(fleet.free_station(far, &[false, false, false]), Some(2));
+        assert_eq!(fleet.free_station(far, &[false, false, true]), None);
     }
 }

@@ -6,9 +6,12 @@
 //! calls [`Graph::backward`] on a scalar loss node. Gradients flow backwards
 //! and are accumulated into the [`ParamStore`] slots of parameter leaves.
 //!
-//! Parameters enter a graph via [`Graph::param`], which copies the current
-//! value out of the store; a graph therefore never borrows the store, and one
-//! store can feed many sequential graphs (the PPO epoch pattern).
+//! Parameters enter a graph via [`Graph::param`], which shares the store's
+//! current value by a refcount bump instead of copying it. A graph
+//! therefore never borrows the store, and one store can feed many
+//! sequential graphs (the PPO epoch pattern). Store writes are
+//! copy-on-write, so a graph still alive across an optimizer step keeps
+//! reading the values it was built with.
 //!
 //! Tapes recycle themselves: dropping a `Graph` parks its node storage (and
 //! any op-held index/context buffers) in thread-local freelists that the
@@ -25,6 +28,7 @@ use crate::ops::softmax::{log_softmax_backward, log_softmax_rows, softmax_backwa
 use crate::param::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Handle to one node of a [`Graph`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,8 +60,26 @@ impl std::ops::Index<usize> for Parents {
     }
 }
 
+/// A node's forward value: computed by the node, or a parameter value
+/// shared with the [`ParamStore`].
+enum NodeValue {
+    Owned(Tensor),
+    Shared(Arc<Tensor>),
+}
+
+impl std::ops::Deref for NodeValue {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        match self {
+            NodeValue::Owned(t) => t,
+            NodeValue::Shared(t) => t,
+        }
+    }
+}
+
 struct Node {
-    value: Tensor,
+    value: NodeValue,
     parents: Parents,
     op: Op,
     /// True if this node is, or depends on, a non-frozen parameter leaf.
@@ -163,6 +185,17 @@ impl Graph {
         param: Option<ParamId>,
         needs_grad: bool,
     ) -> NodeId {
+        self.push_value(NodeValue::Owned(value), parents, op, param, needs_grad)
+    }
+
+    fn push_value(
+        &mut self,
+        value: NodeValue,
+        parents: &[NodeId],
+        op: Op,
+        param: Option<ParamId>,
+        needs_grad: bool,
+    ) -> NodeId {
         self.nodes.push(Node { value, parents: Parents::new(parents), op, needs_grad, param });
         NodeId(self.nodes.len() - 1)
     }
@@ -182,16 +215,17 @@ impl Graph {
         self.push(value, &[], Op::Leaf, None, false)
     }
 
-    /// A parameter input: copies the current value from the store; backward
-    /// accumulates into the store's gradient slot (unless frozen).
+    /// A parameter input: shares the store's current value (a refcount
+    /// bump, no copy); backward accumulates into the store's gradient slot
+    /// (unless frozen).
     ///
     /// In debug / `strict-checks` builds the parameter value is
     /// boundary-checked (shape consistency, no NaN/Inf).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
         let needs = !store.is_frozen(id);
-        let value = store.value(id).clone();
+        let value = Arc::clone(store.shared_value(id));
         crate::check::assert_valid(&value, "graph param");
-        self.push(value, &[], Op::Leaf, Some(id), needs)
+        self.push_value(NodeValue::Shared(value), &[], Op::Leaf, Some(id), needs)
     }
 
     // ---- elementwise ops --------------------------------------------------
@@ -1047,6 +1081,37 @@ mod tests {
         let lv = g.backward(loss, &mut store);
         assert!((lv - 36.0).abs() < 1e-5);
         assert!((store.grad(w).data()[0] - 24.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn param_nodes_share_the_store_value() {
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::from_vec(&[2, 2], vec![1.0, 2.0, 3.0, 4.0]));
+        let mut g = Graph::new();
+        let wn = g.param(&store, w);
+        assert_eq!(g.value(wn).data().as_ptr(), store.value(w).data().as_ptr());
+    }
+
+    #[test]
+    fn a_graph_held_across_an_adam_step_keeps_the_old_values() {
+        use crate::optim::{Adam, Optimizer};
+        let mut store = ParamStore::new();
+        let w = store.add("w", Tensor::from_vec(&[3], vec![1.0, -2.0, 0.5]));
+        let before = store.value(w).clone();
+        let mut g = Graph::new();
+        let wn = g.param(&store, w);
+        let sq = g.square(wn);
+        let loss = g.sum_all(sq);
+        g.backward(loss, &mut store);
+        Adam::new(0.1).step(&mut store);
+        assert_ne!(store.value(w), &before, "the step must move the store");
+        assert_eq!(g.value(wn), &before, "the live graph must keep the old values");
+        assert_ne!(g.value(wn).data().as_ptr(), store.value(w).data().as_ptr());
+        // Once no graph shares it, a write lands in place.
+        drop(g);
+        let ptr = store.value(w).data().as_ptr();
+        store.value_mut(w).data_mut()[0] = 7.0;
+        assert_eq!(store.value(w).data().as_ptr(), ptr);
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //!   into a caller-provided scratch buffer (no per-call allocation when the
 //!   caller reuses the scratch across steps); the `MatMul` backward uses
 //!   them;
-//! * [`matmul_naive`] — the unblocked reference kernel, kept for
-//!   correctness tests and as the benchmark baseline.
+//! * [`matmul_naive`] — the unblocked reference kernel: the correctness
+//!   tests' ground truth, the benchmark baseline, and the route [`gemm`]
+//!   takes for products of fewer than `MR` rows (the batch-of-one FC and
+//!   head layers), where packing B would cost more than the product.
 //!
 //! ## Packed layouts
 //!
@@ -62,7 +64,9 @@
 //! row-chunk × column-panel cells, each computed by exactly one thread as
 //! the same chain. Consequently results are bit-identical to
 //! [`matmul_naive`] for every thread count and for every kernel flavor —
-//! checkpoint-resume determinism survives the fast path.
+//! checkpoint-resume determinism survives the fast path. Products of fewer
+//! than `MR` rows skip the packing and run [`matmul_naive`] itself, which
+//! is that same chain by definition.
 
 use crate::arena;
 use crate::ops::pool;
@@ -223,6 +227,7 @@ pub fn matmul_naive(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n
 /// row-major. Packs both operands once, then fans row-chunk × column-panel
 /// cells across up to `threads` persistent pool workers when the problem is
 /// large enough; bit-identical to [`matmul_naive`] for every thread count.
+/// Below `MR` rows it runs [`matmul_naive`] itself, unpacked.
 ///
 /// # Panics
 ///
@@ -239,6 +244,14 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize,
         GEMM_CALLS.fetch_add(1, Ordering::Relaxed); // ordering: telemetry counter
                                                     // ordering: telemetry counter (see the gate comment above).
         GEMM_FLOPS.fetch_add(2 * (m as u64) * (k as u64) * (n as u64), Ordering::Relaxed);
+    }
+    if m < MR {
+        // Fewer rows than one register tile: packing all of B would cost
+        // more than the product, and the tile would run its scalar tail
+        // path anyway. The reference chain is the same ascending-`k`
+        // `mul_add` sequence per element, so the result is bitwise equal.
+        matmul_naive(a, b, out, m, k, n);
+        return;
     }
     let threads = threads.max(1);
     if threads <= 1 || m * n * k < PAR_THRESHOLD {

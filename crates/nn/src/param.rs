@@ -8,9 +8,16 @@
 //! Keeping parameters out of the graph lets one store be shared across the
 //! many short-lived graphs a PPO epoch builds, and makes the chief–employee
 //! gradient exchange a plain flat-buffer copy.
+//!
+//! Each value is held as an `Arc<Tensor>`: a graph takes a parameter by
+//! bumping the refcount instead of copying it, and every write goes through
+//! [`Arc::make_mut`], so a write while a graph still holds the value gives
+//! the store a fresh copy and leaves the graph's view unchanged — exactly
+//! what a per-graph copy would have done (copy-on-write, DESIGN.md §12).
 
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Handle to one parameter inside a [`ParamStore`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -23,10 +30,14 @@ impl ParamId {
     }
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 struct Param {
     name: String,
-    value: Tensor,
+    /// Shared with every graph that took it through [`Graph::param`]
+    /// (copy-on-write).
+    ///
+    /// [`Graph::param`]: crate::graph::Graph::param
+    value: Arc<Tensor>,
     grad: Tensor,
     /// Frozen parameters receive no gradient and are skipped by optimizers
     /// (used for the static embedding of the spatial curiosity model).
@@ -34,7 +45,7 @@ struct Param {
 }
 
 /// Owns parameter values and their gradient accumulators.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct ParamStore {
     params: Vec<Param>,
 }
@@ -57,7 +68,7 @@ impl ParamStore {
 
     fn push(&mut self, name: String, value: Tensor, frozen: bool) -> ParamId {
         let grad = Tensor::zeros(value.shape());
-        self.params.push(Param { name, value, grad, frozen });
+        self.params.push(Param { name, value: Arc::new(value), grad, frozen });
         ParamId(self.params.len() - 1)
     }
 
@@ -81,9 +92,18 @@ impl ParamStore {
         &self.params[id.0].value
     }
 
-    /// Mutable access to the value tensor of a parameter.
+    /// The shared value of a parameter, for [`Graph::param`]'s refcount
+    /// bump.
+    ///
+    /// [`Graph::param`]: crate::graph::Graph::param
+    pub(crate) fn shared_value(&self, id: ParamId) -> &Arc<Tensor> {
+        &self.params[id.0].value
+    }
+
+    /// Mutable access to the value tensor of a parameter. Copies the value
+    /// first if a graph still shares it.
     pub fn value_mut(&mut self, id: ParamId) -> &mut Tensor {
-        &mut self.params[id.0].value
+        Arc::make_mut(&mut self.params[id.0].value)
     }
 
     /// The gradient accumulator of a parameter.
@@ -121,11 +141,12 @@ impl ParamStore {
         (0..self.params.len()).map(ParamId)
     }
 
-    /// Applies `f(value, grad)` to every trainable parameter.
+    /// Applies `f(value, grad)` to every trainable parameter (copying a
+    /// value first if a graph still shares it).
     pub fn for_each_trainable(&mut self, mut f: impl FnMut(&mut Tensor, &Tensor)) {
         for p in &mut self.params {
             if !p.frozen {
-                f(&mut p.value, &p.grad);
+                f(Arc::make_mut(&mut p.value), &p.grad);
             }
         }
     }
@@ -172,17 +193,18 @@ impl ParamStore {
         let mut offset = 0;
         for p in &mut self.params {
             let n = p.value.numel();
-            p.value.data_mut().copy_from_slice(&flat[offset..offset + n]);
+            Arc::make_mut(&mut p.value).data_mut().copy_from_slice(&flat[offset..offset + n]);
             offset += n;
         }
     }
 
-    /// Copies parameter values from another store with identical layout.
+    /// Takes parameter values from another store with identical layout.
+    /// The two stores share the values until either one writes them.
     pub fn copy_values_from(&mut self, other: &ParamStore) {
         assert_eq!(self.len(), other.len(), "store layout mismatch");
         for (dst, src) in self.params.iter_mut().zip(&other.params) {
             assert_eq!(dst.value.shape(), src.value.shape(), "param shape mismatch");
-            dst.value = src.value.clone();
+            dst.value = Arc::clone(&src.value);
         }
     }
 

@@ -113,6 +113,36 @@ fn randomized_blocked_matches_naive_bitwise() {
     }
 }
 
+/// Fewer rows than one register tile skip packing and run the reference
+/// chain. Those rows must equal both `matmul_naive` and the same rows of a
+/// taller product that goes through the packed kernel — the property the
+/// batch-of-one ≡ batched sampling tests rest on.
+#[test]
+fn small_m_route_matches_naive_and_the_packed_rows() {
+    const TALL: usize = 9; // above MR, with a ragged tail tile
+    let mut rng = StdRng::seed_from_u64(0x5EED);
+    for m in [1usize, 2, 3] {
+        for k in [0usize, 1, 5, 256, 300] {
+            for n in [1usize, 11, 16, 17, 128] {
+                let a = tensor2(&mut rng, TALL, k);
+                let b = tensor2(&mut rng, k, n);
+                let mut tall = vec![0.0f32; TALL * n];
+                gemm::gemm(a.data(), b.data(), &mut tall, TALL, k, n, 1);
+                let a_small = &a.data()[..m * k];
+                let mut want = vec![0.0f32; m * n];
+                gemm::matmul_naive(a_small, b.data(), &mut want, m, k, n);
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&tall[..m * n]), bits(&want), "packed rows m={m} k={k} n={n}");
+                for threads in [1usize, 2] {
+                    let mut got = vec![f32::NAN; m * n];
+                    gemm::gemm(a_small, b.data(), &mut got, m, k, n, threads);
+                    assert_eq!(bits(&got), bits(&want), "m={m} k={k} n={n} threads={threads}");
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn transposed_variants_match_naive_on_random_shapes() {
     let mut rng = StdRng::seed_from_u64(42);

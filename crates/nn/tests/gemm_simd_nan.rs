@@ -141,3 +141,33 @@ fn nan_past_the_kc_boundary_survives_accumulator_reload() {
     assert!(out[..n].iter().all(|v| v.is_nan()), "row 0 must be fully poisoned");
     assert!(out[n..].iter().all(|v| !v.is_nan()), "other rows must stay finite");
 }
+
+#[test]
+fn small_m_nonfinite_operands_match_naive_and_the_packed_rows() {
+    // Below MR rows `gemm` skips packing; NaN/∞ must still surface in the
+    // same elements with the same bits as the reference and as the same
+    // rows of a taller, packed product.
+    const TALL: usize = 6;
+    for m in [1usize, 2, 3] {
+        for k in [0usize, 1, 5, 256, 300] {
+            for n in [1usize, 11, 16, 17, 128] {
+                let mut a: Vec<f32> = (0..TALL * k).map(|i| (i % 7) as f32 * 0.25 - 0.5).collect();
+                let mut b: Vec<f32> = (0..k * n).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
+                if k > 0 {
+                    a[k - 1] = f32::NAN; // row 0
+                    a[k / 2] = 0.0;
+                    b[(k / 2) * n + n - 1] = f32::INFINITY; // 0·∞ on row 0
+                    if m > 1 {
+                        a[k] = f32::NEG_INFINITY; // row 1
+                    }
+                }
+                check_against_naive(&a[..m * k], &b, m, k, n);
+                let mut tall = vec![0.0f32; TALL * n];
+                gemm(&a, &b, &mut tall, TALL, k, n, 1);
+                let mut small = vec![0.0f32; m * n];
+                gemm(&a[..m * k], &b, &mut small, m, k, n, 1);
+                assert_eq!(bits(&small), bits(&tall[..m * n]), "m={m} k={k} n={n}");
+            }
+        }
+    }
+}

@@ -36,6 +36,10 @@ pub struct SampledAction {
 }
 
 /// Samples an index from a probability row.
+///
+/// When rounding leaves a sliver of the draw after the last lane, the draw
+/// goes to the last lane with a positive probability, never to a masked
+/// (zero-probability) one.
 pub fn sample_categorical(probs: &[f32], rng: &mut impl Rng) -> usize {
     let total: f32 = probs.iter().sum();
     let mut u = rng.gen::<f32>() * total.max(1e-12);
@@ -45,7 +49,7 @@ pub fn sample_categorical(probs: &[f32], rng: &mut impl Rng) -> usize {
             return i;
         }
     }
-    probs.len() - 1
+    probs.iter().rposition(|&p| p > 0.0).unwrap_or(probs.len() - 1)
 }
 
 /// Index of the maximum element.
@@ -143,26 +147,28 @@ pub fn sample_actions_batched<H: Heads>(
     let mut charge_logits = g.value(out.charge_logits).clone(); // [E·W, 2]
     let w_count = net.config().num_workers;
 
+    // One columnar mask pass per env, written straight into that env's
+    // logit rows: `[W·9]` move lanes and the charge lane of `[W, 2]`.
     let mut masks = Vec::with_capacity(envs.len());
-    for (ei, env) in envs.iter().enumerate() {
+    let move_rows = move_logits.data_mut().chunks_exact_mut(w_count * MOVES_PER_WORKER);
+    let charge_rows = charge_logits.data_mut().chunks_exact_mut(w_count * CHARGE_CHOICES);
+    for ((env, move_rows), charge_rows) in envs.iter().zip(move_rows).zip(charge_rows) {
         let mut move_mask = vec![true; w_count * MOVES_PER_WORKER];
-        let mut charge_mask = vec![true; w_count * CHARGE_CHOICES];
+        let mut can_charge = vec![true; w_count];
         if opts.mask_invalid {
-            for wi in 0..w_count {
-                let row = ei * w_count + wi;
-                let mask = env.valid_moves(wi);
-                for (mi, ok) in mask.iter().enumerate() {
-                    if !ok {
-                        *move_logits.at2_mut(row, mi) = MASK_LOGIT;
-                        move_mask[wi * MOVES_PER_WORKER + mi] = false;
-                    }
+            env.fleet().action_masks(&mut move_mask, &mut can_charge);
+            for (logit, &ok) in move_rows.iter_mut().zip(&move_mask) {
+                if !ok {
+                    *logit = MASK_LOGIT;
                 }
-                if !env.can_charge(wi) {
-                    *charge_logits.at2_mut(row, 1) = MASK_LOGIT;
-                    charge_mask[wi * CHARGE_CHOICES + 1] = false;
+            }
+            for (row, &ok) in charge_rows.chunks_exact_mut(CHARGE_CHOICES).zip(&can_charge) {
+                if !ok {
+                    row[1] = MASK_LOGIT;
                 }
             }
         }
+        let charge_mask = can_charge.iter().flat_map(|&ok| [true, ok]).collect();
         masks.push((move_mask, charge_mask));
     }
 
@@ -406,6 +412,45 @@ mod tests {
         let probs = [0.8, 0.2];
         let hits = (0..2000).filter(|_| sample_categorical(&probs, &mut rng) == 0).count();
         assert!((1400..1800).contains(&hits), "hits {hits}");
+    }
+
+    /// An RNG whose every draw is `u32::MAX`: `gen::<f32>()` returns the
+    /// largest `f32` below 1.
+    struct TopDraw;
+
+    impl rand::RngCore for TopDraw {
+        fn next_u32(&mut self) -> u32 {
+            u32::MAX
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            u64::MAX
+        }
+    }
+
+    #[test]
+    fn sample_categorical_never_returns_a_masked_last_lane() {
+        // A normalized eight-lane row whose f32 scan leaves a sliver of the
+        // top draw unspent; the masked ninth lane must not absorb it.
+        let bits = [
+            0x3de9_f4a3u32,
+            0x3e28_7ace,
+            0x3d1a_2f27,
+            0x3e15_5919,
+            0x3e23_2765,
+            0x3e3a_617e,
+            0x3d76_c360,
+            0x3e0b_6c41,
+            0,
+        ];
+        let probs = bits.map(f32::from_bits);
+        let total: f32 = probs.iter().sum();
+        let u = TopDraw.gen::<f32>() * total;
+        let left = probs.iter().fold(u, |u, p| u - p);
+        assert!(left > 0.0, "the row must exercise the fall-through (left {left})");
+        assert_eq!(sample_categorical(&probs, &mut TopDraw), 7);
+        // Without the masked lane the same fall-through keeps the last lane.
+        assert_eq!(sample_categorical(&probs[..8], &mut TopDraw), 7);
     }
 
     #[test]
