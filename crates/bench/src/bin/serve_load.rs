@@ -58,7 +58,7 @@ fn checkpoint_bytes() -> Vec<u8> {
     let mut cfg = TrainerConfig::drl_cews(env).quick();
     cfg.num_employees = 1;
     let mut trainer = Trainer::new(cfg).unwrap();
-    trainer.checkpoint_v2().unwrap().to_vec()
+    trainer.checkpoint_v2().unwrap()
 }
 
 fn snapshot(id: u64) -> ScheduleRequest {

@@ -176,7 +176,7 @@ mod tests {
         let mut cfg = TrainerConfig::drl_cews(env).quick();
         cfg.num_employees = 1;
         let mut trainer = Trainer::new(cfg).unwrap();
-        trainer.checkpoint_v2().unwrap().to_vec()
+        trainer.checkpoint_v2().unwrap()
     }
 
     #[test]

@@ -812,7 +812,7 @@ impl Trainer {
     ///
     /// [`TrainerError::Chief`] when an employee fails to report its RNG
     /// state (and cannot be respawned).
-    pub fn checkpoint_v2(&mut self) -> Result<bytes::Bytes, TrainerError> {
+    pub fn checkpoint_v2(&mut self) -> Result<Vec<u8>, TrainerError> {
         let rng_states = self.executor.snapshot_rngs()?;
         let (m, v) = self.ppo_opt.flat_moments();
         let ppo_opt = AdamState { t: self.ppo_opt.steps(), m, v };

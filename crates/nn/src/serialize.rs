@@ -35,7 +35,6 @@
 
 use crate::param::ParamStore;
 use crate::tensor::Tensor;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::io::Write;
 use std::path::Path;
 
@@ -103,68 +102,100 @@ fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+// ----------------------------------------------------------------- cursor
+
+/// A little-endian cursor over a byte slice. Every read is bounds-checked
+/// and yields [`CheckpointError::Truncated`] once the bytes run out, so the
+/// parser cannot index past the end whatever the header claims.
+struct Reader<'a> {
+    buf: &'a [u8],
+}
+
+impl<'a> Reader<'a> {
+    fn remaining(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Consumes the next `n` bytes.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
+        let (head, tail) = self.buf.split_at_checked(n).ok_or(CheckpointError::Truncated)?;
+        self.buf = tail;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], CheckpointError> {
+        let mut out = [0u8; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
+
+    fn u8(&mut self) -> Result<u8, CheckpointError> {
+        Ok(self.array::<1>()?[0])
+    }
+
+    fn u32(&mut self) -> Result<u32, CheckpointError> {
+        self.array().map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self) -> Result<u64, CheckpointError> {
+        self.array().map(u64::from_le_bytes)
+    }
+
+    fn f32(&mut self) -> Result<f32, CheckpointError> {
+        self.array().map(f32::from_le_bytes)
+    }
+}
+
 // --------------------------------------------------------------- sections
 
-fn put_store(buf: &mut BytesMut, store: &ParamStore) {
-    buf.put_u32_le(store.len() as u32);
+fn put_store(buf: &mut Vec<u8>, store: &ParamStore) {
+    buf.extend((store.len() as u32).to_le_bytes());
     for id in store.ids() {
         let name = store.name(id).as_bytes();
-        buf.put_u32_le(name.len() as u32);
-        buf.put_slice(name);
-        buf.put_u8(store.is_frozen(id) as u8);
+        buf.extend((name.len() as u32).to_le_bytes());
+        buf.extend_from_slice(name);
+        buf.push(store.is_frozen(id) as u8);
         let value = store.value(id);
-        buf.put_u32_le(value.ndim() as u32);
+        buf.extend((value.ndim() as u32).to_le_bytes());
         for &d in value.shape() {
-            buf.put_u32_le(d as u32);
+            buf.extend((d as u32).to_le_bytes());
         }
         for &x in value.data() {
-            buf.put_f32_le(x);
+            buf.extend(x.to_le_bytes());
         }
     }
 }
 
-fn get_store(buf: &mut &[u8]) -> Result<ParamStore, CheckpointError> {
-    if buf.remaining() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    let count = buf.get_u32_le() as usize;
+fn get_store(r: &mut Reader<'_>) -> Result<ParamStore, CheckpointError> {
+    let count = r.u32()? as usize;
     let mut store = ParamStore::new();
     for _ in 0..count {
-        if buf.remaining() < 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        let name_len = buf.get_u32_le() as usize;
+        let name_len = r.u32()? as usize;
         // name + frozen byte + ndim word, with overflow-checked sizing so a
-        // hostile name_len can't wrap past the bounds check.
+        // hostile name_len can't reserve memory before the read fails.
         let need = name_len.checked_add(1 + 4).ok_or(CheckpointError::Truncated)?;
-        if buf.remaining() < need {
+        if r.remaining() < need {
             return Err(CheckpointError::Truncated);
         }
-        let mut name_bytes = vec![0u8; name_len];
-        buf.copy_to_slice(&mut name_bytes);
-        let name = String::from_utf8(name_bytes).map_err(|_| CheckpointError::BadName)?;
-        let frozen = buf.get_u8() != 0;
-        let ndim = buf.get_u32_le() as usize;
+        let name =
+            String::from_utf8(r.take(name_len)?.to_vec()).map_err(|_| CheckpointError::BadName)?;
+        let frozen = r.u8()? != 0;
+        let ndim = r.u32()? as usize;
         let dims_bytes = ndim.checked_mul(4).ok_or(CheckpointError::Truncated)?;
-        if buf.remaining() < dims_bytes {
+        if r.remaining() < dims_bytes {
             return Err(CheckpointError::Truncated);
         }
-        let mut shape = Vec::with_capacity(ndim);
-        for _ in 0..ndim {
-            shape.push(buf.get_u32_le() as usize);
-        }
+        let shape: Vec<usize> =
+            (0..ndim).map(|_| r.u32().map(|d| d as usize)).collect::<Result<_, _>>()?;
         let numel = shape
             .iter()
             .try_fold(1usize, |acc, &d| acc.checked_mul(d))
             .ok_or(CheckpointError::Truncated)?;
         let data_bytes = numel.checked_mul(4).ok_or(CheckpointError::Truncated)?;
-        if buf.remaining() < data_bytes {
+        if r.remaining() < data_bytes {
             return Err(CheckpointError::Truncated);
         }
-        let mut data = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            data.push(buf.get_f32_le());
-        }
+        let data = (0..numel).map(|_| r.f32()).collect::<Result<_, _>>()?;
         let tensor = Tensor::from_vec(&shape, data);
         if frozen {
             store.add_frozen(name, tensor);
@@ -210,49 +241,37 @@ pub struct TrainCheckpoint {
     pub meta: String,
 }
 
-fn put_adam(buf: &mut BytesMut, state: &AdamState) {
-    buf.put_u64_le(state.t);
-    buf.put_u32_le(state.m.len() as u32);
-    for &x in &state.m {
-        buf.put_f32_le(x);
-    }
-    for &x in &state.v {
-        buf.put_f32_le(x);
+fn put_adam(buf: &mut Vec<u8>, state: &AdamState) {
+    buf.extend(state.t.to_le_bytes());
+    buf.extend((state.m.len() as u32).to_le_bytes());
+    for &x in state.m.iter().chain(&state.v) {
+        buf.extend(x.to_le_bytes());
     }
 }
 
-fn get_adam(buf: &mut &[u8]) -> Result<AdamState, CheckpointError> {
-    if buf.remaining() < 12 {
-        return Err(CheckpointError::Truncated);
-    }
-    let t = buf.get_u64_le();
-    let n = buf.get_u32_le() as usize;
+fn get_adam(r: &mut Reader<'_>) -> Result<AdamState, CheckpointError> {
+    let t = r.u64()?;
+    let n = r.u32()? as usize;
     let bytes = n.checked_mul(8).ok_or(CheckpointError::Truncated)?;
-    if buf.remaining() < bytes {
+    if r.remaining() < bytes {
         return Err(CheckpointError::Truncated);
     }
-    let mut m = Vec::with_capacity(n);
-    for _ in 0..n {
-        m.push(buf.get_f32_le());
-    }
-    let mut v = Vec::with_capacity(n);
-    for _ in 0..n {
-        v.push(buf.get_f32_le());
-    }
+    let m = (0..n).map(|_| r.f32()).collect::<Result<_, _>>()?;
+    let v = (0..n).map(|_| r.f32()).collect::<Result<_, _>>()?;
     Ok(AdamState { t, m, v })
 }
 
 /// Serializes a full training checkpoint in the v2 format (with CRC32
 /// footer).
-pub fn save_checkpoint_v2(ck: &TrainCheckpoint) -> Bytes {
-    let mut buf = BytesMut::with_capacity(
+pub fn save_checkpoint_v2(ck: &TrainCheckpoint) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(
         64 + (ck.policy.num_scalars() + ck.ppo_opt.m.len() + ck.ppo_opt.v.len()) * 4
             + ck.rng_states.len() * 32
             + ck.meta.len(),
     );
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(VERSION);
-    buf.put_u8(ck.curiosity.is_some() as u8);
+    buf.extend_from_slice(MAGIC);
+    buf.extend(VERSION.to_le_bytes());
+    buf.push(ck.curiosity.is_some() as u8);
     put_store(&mut buf, &ck.policy);
     if let Some(cur) = &ck.curiosity {
         put_store(&mut buf, cur);
@@ -262,19 +281,17 @@ pub fn save_checkpoint_v2(ck: &TrainCheckpoint) -> Bytes {
         let default = AdamState::default();
         put_adam(&mut buf, ck.curiosity_opt.as_ref().unwrap_or(&default));
     }
-    buf.put_u32_le(ck.rng_states.len() as u32);
-    for s in &ck.rng_states {
-        for &w in s {
-            buf.put_u64_le(w);
-        }
+    buf.extend((ck.rng_states.len() as u32).to_le_bytes());
+    for &w in ck.rng_states.iter().flatten() {
+        buf.extend(w.to_le_bytes());
     }
-    buf.put_u64_le(ck.episodes);
-    buf.put_u64_le(ck.rounds);
-    buf.put_u32_le(ck.meta.len() as u32);
-    buf.put_slice(ck.meta.as_bytes());
+    buf.extend(ck.episodes.to_le_bytes());
+    buf.extend(ck.rounds.to_le_bytes());
+    buf.extend((ck.meta.len() as u32).to_le_bytes());
+    buf.extend_from_slice(ck.meta.as_bytes());
     let crc = crc32(&buf);
-    buf.put_u32_le(crc);
-    buf.freeze()
+    buf.extend(crc.to_le_bytes());
+    buf
 }
 
 /// Reconstructs a [`TrainCheckpoint`] from [`save_checkpoint_v2`] output,
@@ -285,16 +302,12 @@ pub fn save_checkpoint_v2(ck: &TrainCheckpoint) -> Bytes {
 /// Every malformed-buffer shape maps to a typed [`CheckpointError`]; this
 /// function never panics on hostile input.
 pub fn load_checkpoint_v2(full: &[u8]) -> Result<TrainCheckpoint, CheckpointError> {
-    if full.len() < 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut head: &[u8] = full;
-    let mut magic = [0u8; 4];
-    head.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
+    let mut head = Reader { buf: full };
+    let magic = head.take(4)?;
+    let version = head.u32()?;
+    if magic != MAGIC {
         return Err(CheckpointError::BadMagic);
     }
-    let version = head.get_u32_le();
     if version != VERSION {
         return Err(CheckpointError::BadVersion(version));
     }
@@ -302,46 +315,34 @@ pub fn load_checkpoint_v2(full: &[u8]) -> Result<TrainCheckpoint, CheckpointErro
         return Err(CheckpointError::Truncated);
     }
     let (body, footer) = full.split_at(full.len() - 4);
-    let stored = u32::from_le_bytes([footer[0], footer[1], footer[2], footer[3]]);
+    let stored = Reader { buf: footer }.u32()?;
     let computed = crc32(body);
     if computed != stored {
         return Err(CheckpointError::BadCrc { computed, stored });
     }
     // Parse past magic + version (already validated above).
-    let mut buf = &body[8..];
-    let has_curiosity = buf.get_u8() != 0;
-    let policy = get_store(&mut buf)?;
-    let curiosity = if has_curiosity { Some(get_store(&mut buf)?) } else { None };
-    let ppo_opt = get_adam(&mut buf)?;
-    let curiosity_opt = if has_curiosity { Some(get_adam(&mut buf)?) } else { None };
-    if buf.remaining() < 4 {
-        return Err(CheckpointError::Truncated);
-    }
-    let rng_count = buf.get_u32_le() as usize;
+    let mut r = Reader { buf: &body[8..] };
+    let has_curiosity = r.u8()? != 0;
+    let policy = get_store(&mut r)?;
+    let curiosity = if has_curiosity { Some(get_store(&mut r)?) } else { None };
+    let ppo_opt = get_adam(&mut r)?;
+    let curiosity_opt = if has_curiosity { Some(get_adam(&mut r)?) } else { None };
+    let rng_count = r.u32()? as usize;
     let rng_bytes = rng_count.checked_mul(32).ok_or(CheckpointError::Truncated)?;
-    if buf.remaining() < rng_bytes {
+    if r.remaining() < rng_bytes {
         return Err(CheckpointError::Truncated);
     }
-    let mut rng_states = Vec::with_capacity(rng_count);
-    for _ in 0..rng_count {
-        let mut s = [0u64; 4];
-        for w in &mut s {
-            *w = buf.get_u64_le();
-        }
-        rng_states.push(s);
-    }
-    if buf.remaining() < 20 {
+    let rng_states = (0..rng_count)
+        .map(|_| Ok([r.u64()?, r.u64()?, r.u64()?, r.u64()?]))
+        .collect::<Result<_, _>>()?;
+    let episodes = r.u64()?;
+    let rounds = r.u64()?;
+    let meta_len = r.u32()? as usize;
+    if r.remaining() != meta_len {
         return Err(CheckpointError::Truncated);
     }
-    let episodes = buf.get_u64_le();
-    let rounds = buf.get_u64_le();
-    let meta_len = buf.get_u32_le() as usize;
-    if buf.remaining() != meta_len {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut meta_bytes = vec![0u8; meta_len];
-    buf.copy_to_slice(&mut meta_bytes);
-    let meta = String::from_utf8(meta_bytes).map_err(|_| CheckpointError::BadName)?;
+    let meta =
+        String::from_utf8(r.take(meta_len)?.to_vec()).map_err(|_| CheckpointError::BadName)?;
     if !ppo_opt.m.is_empty() && ppo_opt.m.len() != policy.num_scalars() {
         return Err(CheckpointError::Inconsistent("ppo Adam moments don't cover the policy"));
     }
@@ -426,7 +427,7 @@ mod tests {
     /// Appends the CRC32 footer, so hand-built bodies reach the parser.
     fn with_footer(mut body: Vec<u8>) -> Vec<u8> {
         let crc = crc32(&body);
-        body.put_u32_le(crc);
+        body.extend(crc.to_le_bytes());
         body
     }
 
@@ -450,7 +451,7 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut bytes = save_checkpoint_v2(&sample_v2()).to_vec();
+        let mut bytes = save_checkpoint_v2(&sample_v2());
         bytes[0] = b'X';
         assert_eq!(load_checkpoint_v2(&bytes).unwrap_err(), CheckpointError::BadMagic);
     }
@@ -471,7 +472,7 @@ mod tests {
 
     #[test]
     fn bad_version_rejected() {
-        let mut bytes = save_checkpoint_v2(&sample_v2()).to_vec();
+        let mut bytes = save_checkpoint_v2(&sample_v2());
         bytes[4] = 99;
         assert_eq!(load_checkpoint_v2(&bytes).unwrap_err(), CheckpointError::BadVersion(99));
     }
@@ -480,15 +481,15 @@ mod tests {
     fn retired_v1_files_are_rejected_by_version() {
         // A v1 file: magic, version 1, a bare one-param store, no footer.
         let mut v1: Vec<u8> = Vec::new();
-        v1.put_slice(b"VCNN");
-        v1.put_u32_le(1);
-        v1.put_u32_le(1); // one param
-        v1.put_u32_le(1); // name_len
-        v1.put_u8(b'w');
-        v1.put_u8(0); // not frozen
-        v1.put_u32_le(1); // ndim
-        v1.put_u32_le(1); // dim
-        v1.put_f32_le(1.0);
+        v1.extend_from_slice(b"VCNN");
+        v1.extend(1u32.to_le_bytes());
+        v1.extend(1u32.to_le_bytes()); // one param
+        v1.extend(1u32.to_le_bytes()); // name_len
+        v1.push(b'w');
+        v1.push(0); // not frozen
+        v1.extend(1u32.to_le_bytes()); // ndim
+        v1.extend(1u32.to_le_bytes()); // dim
+        v1.extend(1.0f32.to_le_bytes());
         assert_eq!(load_checkpoint_v2(&v1).unwrap_err(), CheckpointError::BadVersion(1));
     }
 
@@ -531,25 +532,25 @@ mod tests {
         // pass the bounds check in release builds. Must be a typed error
         // instead.
         let mut body: Vec<u8> = Vec::new();
-        body.put_slice(b"VCNN");
-        body.put_u32_le(VERSION);
-        body.put_u8(0); // no curiosity
-        body.put_u32_le(1); // one param
-        body.put_u32_le(u32::MAX); // hostile name_len
+        body.extend_from_slice(b"VCNN");
+        body.extend(VERSION.to_le_bytes());
+        body.push(0); // no curiosity
+        body.extend(1u32.to_le_bytes()); // one param
+        body.extend(u32::MAX.to_le_bytes()); // hostile name_len
         assert_eq!(load_checkpoint_v2(&with_footer(body)).unwrap_err(), CheckpointError::Truncated);
 
         // Hostile shape whose element product overflows usize.
         let mut body: Vec<u8> = Vec::new();
-        body.put_slice(b"VCNN");
-        body.put_u32_le(VERSION);
-        body.put_u8(0);
-        body.put_u32_le(1); // one param
-        body.put_u32_le(1); // name_len
-        body.put_u8(b'w');
-        body.put_u8(0); // not frozen
-        body.put_u32_le(4); // ndim = 4
+        body.extend_from_slice(b"VCNN");
+        body.extend(VERSION.to_le_bytes());
+        body.push(0);
+        body.extend(1u32.to_le_bytes()); // one param
+        body.extend(1u32.to_le_bytes()); // name_len
+        body.push(b'w');
+        body.push(0); // not frozen
+        body.extend(4u32.to_le_bytes()); // ndim = 4
         for _ in 0..4 {
-            body.put_u32_le(u32::MAX); // dims whose product wraps
+            body.extend(u32::MAX.to_le_bytes()); // dims whose product wraps
         }
         assert_eq!(load_checkpoint_v2(&with_footer(body)).unwrap_err(), CheckpointError::Truncated);
     }
@@ -589,7 +590,7 @@ mod tests {
         // The CRC footer must catch a single flipped bit at any offset
         // (flips inside the footer itself surface as BadCrc too; flips in
         // the magic/version words surface as those typed errors).
-        let bytes = save_checkpoint_v2(&sample_v2()).to_vec();
+        let bytes = save_checkpoint_v2(&sample_v2());
         let mut rng = StdRng::seed_from_u64(2024);
         for _ in 0..200 {
             let mut corrupted = bytes.clone();
@@ -605,7 +606,7 @@ mod tests {
 
     #[test]
     fn v2_every_truncation_is_a_typed_error() {
-        let bytes = save_checkpoint_v2(&sample_v2()).to_vec();
+        let bytes = save_checkpoint_v2(&sample_v2());
         for cut in 0..bytes.len() {
             match load_checkpoint_v2(&bytes[..cut]) {
                 Err(_) => {}
@@ -619,8 +620,8 @@ mod tests {
         // Seeded chaos: random multi-byte mutations, random truncations,
         // and random garbage must always produce Ok or a typed error —
         // any panic fails the test harness.
-        let plain = save_checkpoint_v2(&policy_only(sample_store())).to_vec();
-        let full = save_checkpoint_v2(&sample_v2()).to_vec();
+        let plain = save_checkpoint_v2(&policy_only(sample_store()));
+        let full = save_checkpoint_v2(&sample_v2());
         let mut rng = StdRng::seed_from_u64(99);
         for round in 0..500 {
             let base = if round % 2 == 0 { &plain } else { &full };
@@ -662,10 +663,37 @@ mod tests {
         let bytes = save_checkpoint_v2(&sample_v2());
         write_checkpoint_file(&path, &bytes).unwrap();
         let read = std::fs::read(&path).unwrap();
-        assert_eq!(read, bytes.as_ref());
+        assert_eq!(read, bytes);
         assert!(!dir.join("ck.bin.tmp").exists(), "tmp file left behind");
         load_checkpoint_v2(&read).unwrap();
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn reader_reads_little_endian_fields() {
+        let mut w = vec![7u8];
+        w.extend(0xDEAD_BEEFu32.to_le_bytes());
+        w.extend(u64::MAX.to_le_bytes());
+        w.extend(1.5f32.to_le_bytes());
+        w.extend_from_slice(b"xy");
+        let mut r = Reader { buf: &w };
+        assert_eq!(r.remaining(), 19);
+        assert_eq!(r.u8(), Ok(7));
+        assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
+        assert_eq!(r.u64(), Ok(u64::MAX));
+        assert_eq!(r.f32(), Ok(1.5));
+        assert_eq!(r.take(2), Ok(&b"xy"[..]));
+        assert_eq!(r.remaining(), 0);
+    }
+
+    #[test]
+    fn reader_past_end_is_truncated_and_consumes_nothing() {
+        let mut r = Reader { buf: &[1, 2] };
+        assert_eq!(r.u32(), Err(CheckpointError::Truncated));
+        assert_eq!(r.take(usize::MAX), Err(CheckpointError::Truncated));
+        assert_eq!(r.remaining(), 2);
+        assert_eq!(r.take(2), Ok(&[1u8, 2][..]));
+        assert_eq!(r.u8(), Err(CheckpointError::Truncated));
     }
 
     #[test]

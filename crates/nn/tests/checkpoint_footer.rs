@@ -149,3 +149,56 @@ fn forged_footer_over_garbage_tail_is_rejected() {
     padded.extend_from_slice(&crc.to_le_bytes());
     assert!(load_checkpoint_v2(&padded).is_err(), "trailing garbage accepted");
 }
+
+/// [`sample_checkpoint`] plus a curiosity store with a frozen parameter and
+/// a curiosity Adam state, so every optional section is on the wire.
+fn curious_checkpoint() -> TrainCheckpoint {
+    let mut cur = ParamStore::new();
+    cur.add("icm.w", Tensor::from_vec(&[2, 2], vec![0.25, -1.5, 3.0, 0.125]));
+    cur.add_frozen("icm.emb", Tensor::from_vec(&[3], vec![-0.5, 2.0, 1e-3]));
+    TrainCheckpoint {
+        curiosity: Some(cur),
+        curiosity_opt: Some(AdamState { t: 3, m: vec![0.3; 4], v: vec![0.4; 4] }),
+        ..sample_checkpoint()
+    }
+}
+
+/// `save_checkpoint_v2(&sample_checkpoint())`, recorded once and pinned.
+const SAMPLE_HEX: &str = concat!(
+    "56434e4e0200000000010000000100000077000200000002000000030000000000003f0000003f0000003f00",
+    "00003f0000003f0000003f030000000000000006000000cdcccc3dcdcccc3dcdcccc3dcdcccc3dcdcccc3dcd",
+    "cccc3dcdcc4c3ecdcc4c3ecdcc4c3ecdcc4c3ecdcc4c3ecdcc4c3e0200000001000000000000000200000000",
+    "0000000300000000000000040000000000000005000000000000000600000000000000070000000000000008",
+    "000000000000000b000000000000000700000000000000070000007b226b223a317da3f47620",
+);
+
+/// `save_checkpoint_v2(&curious_checkpoint())`, recorded once and pinned.
+const CURIOUS_HEX: &str = concat!(
+    "56434e4e0200000001010000000100000077000200000002000000030000000000003f0000003f0000003f00",
+    "00003f0000003f0000003f020000000500000069636d2e77000200000002000000020000000000803e0000c0",
+    "bf000040400000003e0700000069636d2e656d62010100000003000000000000bf000000406f12833a030000",
+    "000000000006000000cdcccc3dcdcccc3dcdcccc3dcdcccc3dcdcccc3dcdcccc3dcdcc4c3ecdcc4c3ecdcc4c",
+    "3ecdcc4c3ecdcc4c3ecdcc4c3e0300000000000000040000009a99993e9a99993e9a99993e9a99993ecdcccc",
+    "3ecdcccc3ecdcccc3ecdcccc3e02000000010000000000000002000000000000000300000000000000040000",
+    "000000000005000000000000000600000000000000070000000000000008000000000000000b000000000000",
+    "000700000000000000070000007b226b223a317d52cfb69d",
+);
+
+#[test]
+fn pinned_bytes_save_and_load_unchanged() {
+    // The wire bytes are a compatibility contract: files written by any
+    // earlier build must keep loading, and a save must reproduce them
+    // byte for byte.
+    for (ck, hex) in [(sample_checkpoint(), SAMPLE_HEX), (curious_checkpoint(), CURIOUS_HEX)] {
+        let pinned: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).unwrap())
+            .collect();
+        assert_eq!(save_checkpoint_v2(&ck)[..], pinned[..]);
+        // The v2 layout writes every field length-prefixed, so a loaded
+        // checkpoint that saves back to the pinned bytes is field for
+        // field the one that wrote them.
+        let back = load_checkpoint_v2(&pinned).unwrap();
+        assert_eq!(save_checkpoint_v2(&back)[..], pinned[..]);
+    }
+}

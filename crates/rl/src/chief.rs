@@ -30,14 +30,13 @@
 //! [`ChiefError`] instead of panicking inside library code (see DESIGN.md,
 //! "Fault tolerance & resume").
 
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vc_telemetry::{Counter, Field, Histogram, Telemetry};
@@ -383,7 +382,7 @@ impl GradientBuffer {
     /// length; later contributions of a different length are rejected with
     /// [`ChiefError::GradientLengthMismatch`] and leave the buffer unchanged.
     pub fn accumulate(&self, grads: &[f32]) -> Result<(), ChiefError> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         if inner.sum.is_empty() {
             inner.sum = grads.to_vec();
         } else {
@@ -403,13 +402,13 @@ impl GradientBuffer {
 
     /// Number of gradients accumulated since the last [`Self::take`].
     pub fn contributions(&self) -> usize {
-        self.inner.lock().contributions
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).contributions
     }
 
     /// Drains the buffer, returning the summed gradient (empty if nothing
     /// was accumulated).
     pub fn take(&self) -> Vec<f32> {
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
         inner.contributions = 0;
         std::mem::take(&mut inner.sum)
     }

@@ -25,7 +25,7 @@ fn checkpoint_bytes() -> &'static [u8] {
         let mut cfg = TrainerConfig::drl_cews(env).quick();
         cfg.num_employees = 1;
         let mut trainer = Trainer::new(cfg).unwrap();
-        trainer.checkpoint_v2().unwrap().to_vec()
+        trainer.checkpoint_v2().unwrap()
     })
 }
 

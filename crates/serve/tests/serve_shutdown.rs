@@ -18,7 +18,7 @@ fn checkpoint_artifact() -> drl_cews::serving::PolicyArtifact {
     let mut cfg = TrainerConfig::drl_cews(env).quick();
     cfg.num_employees = 1;
     let mut trainer = Trainer::new(cfg).unwrap();
-    let bytes = trainer.checkpoint_v2().unwrap().to_vec();
+    let bytes = trainer.checkpoint_v2().unwrap();
     drl_cews::serving::PolicyArtifact::from_bytes(&bytes).unwrap()
 }
 

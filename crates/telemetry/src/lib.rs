@@ -33,8 +33,7 @@
 pub mod expo;
 pub mod metrics;
 pub mod sink;
-/// Sync primitive facade: `parking_lot`/std normally, `loom` under
-/// `--cfg loom`.
+/// Sync primitive facade: std normally, `loom` under `--cfg loom`.
 pub mod sync;
 
 pub use expo::{escape_label_value, ExpositionError, MetricKey};
@@ -48,7 +47,7 @@ use std::io;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-use sync::{AtomicBool, AtomicU64, Mutex, Ordering};
+use sync::{lock_unpoisoned, AtomicBool, AtomicU64, Mutex, Ordering};
 
 /// Default span-duration bucket bounds, in seconds (~100µs .. 30s).
 pub const SPAN_SECONDS_BOUNDS: [f64; 10] =
@@ -140,7 +139,7 @@ impl Telemetry {
     /// are escaped at exposition time.
     pub fn counter_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Counter> {
         let key = MetricKey::labeled(name, labels);
-        let mut map = self.shared.counters.lock();
+        let mut map = lock_unpoisoned(&self.shared.counters);
         Arc::clone(map.entry(key).or_insert_with(|| Arc::new(Counter::new())))
     }
 
@@ -152,7 +151,7 @@ impl Telemetry {
     /// Returns the gauge series `name{labels}`, creating it on first use.
     pub fn gauge_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Arc<Gauge> {
         let key = MetricKey::labeled(name, labels);
-        let mut map = self.shared.gauges.lock();
+        let mut map = lock_unpoisoned(&self.shared.gauges);
         Arc::clone(map.entry(key).or_insert_with(|| Arc::new(Gauge::new())))
     }
 
@@ -171,14 +170,14 @@ impl Telemetry {
         bounds: &[f64],
     ) -> Arc<Histogram> {
         let key = MetricKey::labeled(name, labels);
-        let mut map = self.shared.histograms.lock();
+        let mut map = lock_unpoisoned(&self.shared.histograms);
         Arc::clone(map.entry(key).or_insert_with(|| Arc::new(Histogram::new(bounds))))
     }
 
     /// Attaches (or replaces) the JSONL event sink, appending to `path`.
     pub fn attach_jsonl(&self, path: &Path) -> io::Result<()> {
         let sink = JsonlSink::open(path)?;
-        *self.shared.sink.lock() = Some(sink);
+        *lock_unpoisoned(&self.shared.sink) = Some(sink);
         Ok(())
     }
 
@@ -193,7 +192,7 @@ impl Telemetry {
         if !self.is_on() {
             return;
         }
-        let mut guard = self.shared.sink.lock();
+        let mut guard = lock_unpoisoned(&self.shared.sink);
         let Some(sink) = guard.as_mut() else { return };
         // ordering: always executed under the sink lock, which already
         // serializes emitters; the atomic only makes `seq` safe to move
@@ -205,7 +204,7 @@ impl Telemetry {
 
     /// Flushes the JSONL sink (if any) to the OS.
     pub fn flush(&self) -> io::Result<()> {
-        if let Some(sink) = self.shared.sink.lock().as_mut() {
+        if let Some(sink) = lock_unpoisoned(&self.shared.sink).as_mut() {
             sink.flush()?;
         }
         Ok(())
@@ -262,7 +261,7 @@ impl Telemetry {
                 last_type = Some(name.to_owned());
             }
         };
-        for (key, c) in self.shared.counters.lock().iter() {
+        for (key, c) in lock_unpoisoned(&self.shared.counters).iter() {
             if let Err(err) = key.validate() {
                 skip(&mut out, err)?;
                 continue;
@@ -270,7 +269,7 @@ impl Telemetry {
             type_line(&mut out, &key.name, "counter");
             let _ = writeln!(out, "{}{} {}", key.name, key.label_block(None), c.get());
         }
-        for (key, g) in self.shared.gauges.lock().iter() {
+        for (key, g) in lock_unpoisoned(&self.shared.gauges).iter() {
             if let Err(err) = key.validate() {
                 skip(&mut out, err)?;
                 continue;
@@ -278,7 +277,7 @@ impl Telemetry {
             type_line(&mut out, &key.name, "gauge");
             let _ = writeln!(out, "{}{} {}", key.name, key.label_block(None), prom_float(g.get()));
         }
-        for (key, h) in self.shared.histograms.lock().iter() {
+        for (key, h) in lock_unpoisoned(&self.shared.histograms).iter() {
             if let Err(err) = key.validate() {
                 skip(&mut out, err)?;
                 continue;
@@ -346,6 +345,26 @@ impl Drop for Span {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn lock_returns_guard_directly() {
+        let m = Mutex::new(5);
+        *lock_unpoisoned(&m) += 1;
+        assert_eq!(*lock_unpoisoned(&m), 6);
+    }
+
+    #[test]
+    fn survives_poisoning_panic() {
+        let m = Arc::new(Mutex::new(0));
+        let m2 = Arc::clone(&m);
+        let _ = std::thread::spawn(move || {
+            let _g = lock_unpoisoned(&m2);
+            panic!("poison the lock");
+        })
+        .join();
+        *lock_unpoisoned(&m) += 1;
+        assert_eq!(*lock_unpoisoned(&m), 1);
+    }
 
     #[test]
     fn registry_returns_shared_handles() {

@@ -1,42 +1,28 @@
-//! Synchronization facade: `parking_lot`/std normally, `loom` models under
+//! Synchronization facade: std primitives normally, `loom` models under
 //! `--cfg loom`.
 //!
 //! The registry ([`crate::Telemetry`]), metrics, and sink import their
-//! primitives from here. Ordinary builds re-export the `parking_lot` mutex
-//! and std atomics unchanged — zero wrappers on the hot path. Under
+//! primitives from here. Ordinary builds re-export the std mutex and
+//! atomics unchanged — zero wrappers on the hot path. Under
 //! `RUSTFLAGS="--cfg loom"` the same names resolve to model-aware types so
 //! `tests/loom_registry.rs` can exhaustively check the registration and
 //! recording protocols. See `DESIGN.md` §13.
 
 #[cfg(not(loom))]
-pub use parking_lot::Mutex;
-#[cfg(not(loom))]
 pub use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+#[cfg(not(loom))]
+pub use std::sync::{Mutex, MutexGuard};
 
 #[cfg(loom)]
 pub use loom::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-/// A `parking_lot`-shaped (guard-returning, poison-free) facade over the
-/// loom model mutex.
 #[cfg(loom)]
-#[derive(Debug, Default)]
-pub struct Mutex<T> {
-    inner: loom::sync::Mutex<T>,
-}
+pub use loom::sync::{Mutex, MutexGuard};
 
-#[cfg(loom)]
-impl<T> Mutex<T> {
-    /// Wraps a value.
-    pub const fn new(value: T) -> Self {
-        Mutex { inner: loom::sync::Mutex::new(value) }
-    }
+use std::sync::PoisonError;
 
-    /// Acquires the mutex, returning the guard directly (a scheduling
-    /// point explored by the model; the shim never poisons).
-    pub fn lock(&self) -> loom::sync::MutexGuard<'_, T> {
-        match self.inner.lock() {
-            Ok(g) => g,
-            Err(e) => e.into_inner(),
-        }
-    }
+/// Acquires `m`, recovering the guard if an earlier holder panicked, so
+/// telemetry survives a contained employee panic. The same under both cfgs:
+/// the loom shim reuses std's `LockResult` and never poisons.
+pub fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }

@@ -16,9 +16,10 @@
 //! * `no-unwrap` — no `.unwrap()` / `.expect(` outside `#[cfg(test)]` in the
 //!   library sources of `vc-nn`, `vc-env` and `vc-rl` (the crates whose
 //!   panics would tear down employee threads).
-//! * `lock-across-send` — no `parking_lot`/std `Mutex` guard bound by `let`
-//!   still live when a channel `.send(` runs; holding a lock across a
-//!   blocking send is the chief/employee deadlock shape.
+//! * `lock-across-send` — no `Mutex` guard bound by `let` (from `.lock()`
+//!   or `vc_telemetry::sync::lock_unpoisoned(`) still live when a channel
+//!   `.send(` runs; holding a lock across a blocking send is the
+//!   chief/employee deadlock shape.
 //! * `pub-docs` — every `pub` item in `vc-nn` and `vc-rl` carries a doc
 //!   comment (stricter than `missing_docs`: it also fires inside modules
 //!   that allow the rustc lint).
@@ -1040,9 +1041,10 @@ fn lint_file(file: &Path, root: &Path, findings: &mut Vec<Finding>, checks: Chec
                     }
                 }
             }
-            // Track `let guard = ... .lock()` bindings (temporaries that are
-            // not `let`-bound drop at the end of the statement and are fine).
-            if s.contains(".lock()") {
+            // Track `let guard = ... .lock()` and `lock_unpoisoned(` bindings
+            // (temporaries that are not `let`-bound drop at the end of the
+            // statement and are fine).
+            if s.contains(".lock()") || s.contains("lock_unpoisoned(") {
                 if let Some(name) = let_binding(trimmed) {
                     guards.push(LockGuard { name, depth, line: lineno });
                 }
@@ -1242,6 +1244,11 @@ mod tests {
         assert_eq!(let_binding("let g = m.lock();"), Some("g".to_owned()));
         assert_eq!(let_binding("self.inner.lock().contributions"), None);
         assert_eq!(let_binding("let _ = m.lock();"), None);
+        assert_eq!(let_binding("let g = lock_unpoisoned(&m);"), Some("g".to_owned()));
+        assert_eq!(
+            let_binding("let mut q = m.lock().unwrap_or_else(PoisonError::into_inner);"),
+            Some("q".to_owned())
+        );
     }
 
     #[test]
@@ -1260,14 +1267,28 @@ mod tests {
              \x20   let v = *g;\n\
              \x20   drop(g);\n\
              \x20   tx.send(v);\n\
+             }\n\
+             fn bad_unpoisoned(m: &Mutex<u32>, tx: &Sender<u32>) {\n\
+             \x20   let g = lock_unpoisoned(&m);\n\
+             \x20   tx.send(*g);\n\
+             }\n\
+             fn bad_inline(m: &Mutex<u32>, tx: &Sender<u32>) {\n\
+             \x20   let mut g = m.lock().unwrap_or_else(PoisonError::into_inner);\n\
+             \x20   tx.send(*g);\n\
+             }\n\
+             fn good_unpoisoned(m: &Mutex<u32>, tx: &Sender<u32>) {\n\
+             \x20   let g = lock_unpoisoned(&m);\n\
+             \x20   let v = *g;\n\
+             \x20   drop(g);\n\
+             \x20   tx.send(v);\n\
              }\n",
         )
         .unwrap();
         let mut findings = Vec::new();
         lint_file(&file, &dir, &mut findings, Checks::default());
         let locks: Vec<_> = findings.iter().filter(|f| f.lint == "lock-across-send").collect();
-        assert_eq!(locks.len(), 1, "exactly the bad fn must fire");
-        assert_eq!(locks[0].line, 3);
+        let lines: Vec<usize> = locks.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [3, 13, 17], "exactly the three bad fns must fire");
     }
 
     #[test]

@@ -53,7 +53,7 @@ fn restored_policy_behaves_identically() {
 fn corrupt_checkpoint_is_rejected_not_applied() {
     let mut t = Trainer::new(cfg()).unwrap();
     let before = t.store().flat_values();
-    let good = t.checkpoint_v2().unwrap().to_vec();
+    let good = t.checkpoint_v2().unwrap();
     let mut bad_magic = good.clone();
     bad_magic[0] ^= 0xFF;
     let mut flipped = good.clone();

@@ -73,7 +73,7 @@ fn checkpoint_v2_restore_into_existing_trainer_is_exact() {
 fn corrupt_v2_checkpoint_is_rejected() {
     let mut t = Trainer::new(cfg(1)).unwrap();
     t.train(1).unwrap();
-    let mut ckpt = t.checkpoint_v2().unwrap().to_vec();
+    let mut ckpt = t.checkpoint_v2().unwrap();
     let mid = ckpt.len() / 2;
     ckpt[mid] ^= 0x40;
     assert!(Trainer::resume_from(&ckpt).is_err(), "bit flip must be caught by the CRC");
