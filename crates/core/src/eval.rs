@@ -21,38 +21,20 @@ pub struct PolicyScheduler {
 }
 
 impl PolicyScheduler {
-    /// Wraps a network + parameters. Evaluation uses stochastic sampling by
-    /// default (matching the paper's testing process, which keeps the policy
-    /// distributional); `mask_invalid` should match the training setting.
-    pub fn new(
-        net: ActorCritic,
-        store: ParamStore,
-        greedy: bool,
-        mask_invalid: bool,
-        name: &'static str,
-    ) -> Self {
+    /// Snapshot of a trainer's current global policy. Evaluation samples
+    /// stochastically (the paper's testing process keeps the policy
+    /// distributional) under the action-validity masking it was trained with.
+    pub fn from_trainer(trainer: &Trainer, name: &'static str) -> Self {
         Self {
-            net,
-            store,
+            net: trainer.net().clone(),
+            store: trainer.store().clone(),
             opts: PolicyOptions {
-                mode: if greedy { SampleMode::Greedy } else { SampleMode::Stochastic },
-                mask_invalid,
+                mode: SampleMode::Stochastic,
+                mask_invalid: trainer.config().mask_invalid,
             },
             rng: StdRng::seed_from_u64(0xE7A1),
             name,
         }
-    }
-
-    /// Snapshot of a trainer's current global policy, evaluated under the
-    /// same action-validity masking it was trained with.
-    pub fn from_trainer(trainer: &Trainer, name: &'static str) -> Self {
-        Self::new(
-            trainer.net().clone(),
-            trainer.store().clone(),
-            false,
-            trainer.config().mask_invalid,
-            name,
-        )
     }
 }
 
@@ -83,63 +65,6 @@ pub fn evaluate(
     for _ep in 0..episodes {
         env.reset();
         let m = vc_baselines::scheduler::run_episode(scheduler, &mut env, &mut rng);
-        acc.data_collection_ratio += m.data_collection_ratio;
-        acc.remaining_data_ratio += m.remaining_data_ratio;
-        acc.energy_efficiency += m.energy_efficiency;
-        acc.fairness_index += m.fairness_index;
-    }
-    let n = episodes as f32;
-    Metrics {
-        data_collection_ratio: acc.data_collection_ratio / n,
-        remaining_data_ratio: acc.remaining_data_ratio / n,
-        energy_efficiency: acc.energy_efficiency / n,
-        fairness_index: acc.fairness_index / n,
-    }
-}
-
-/// Evaluates a policy network over `episodes` episodes run **in lockstep**:
-/// every step encodes all still-running episodes, performs one batched
-/// forward pass ([`sample_actions_batched`]) and advances each environment
-/// with its own sampled action.
-///
-/// With `E` lockstep episodes each network evaluation amortizes over `E`
-/// states, which is the batched-inference fast path the rollout benchmarks
-/// measure. The kernels are batch-invariant, so with greedy sampling this
-/// returns exactly the metrics of `episodes` sequential runs; stochastic
-/// sampling draws from `rng_seed` in env-major order instead of
-/// episode-major order, so individual episodes differ from a sequential run
-/// while the distribution of outcomes does not.
-pub fn evaluate_policy_batched(
-    net: &ActorCritic,
-    store: &ParamStore,
-    env_cfg: &EnvConfig,
-    opts: PolicyOptions,
-    episodes: usize,
-    rng_seed: u64,
-) -> Metrics {
-    assert!(episodes > 0, "need at least one evaluation episode");
-    let mut rng = StdRng::seed_from_u64(rng_seed);
-    let mut envs: Vec<CrowdsensingEnv> =
-        (0..episodes).map(|_| CrowdsensingEnv::new(env_cfg.clone())).collect();
-    for env in &mut envs {
-        env.reset();
-    }
-
-    loop {
-        let active: Vec<usize> = (0..envs.len()).filter(|&i| !envs[i].done()).collect();
-        if active.is_empty() {
-            break;
-        }
-        let refs: Vec<&CrowdsensingEnv> = active.iter().map(|&i| &envs[i]).collect();
-        let sampled = sample_actions_batched(net, store, &refs, opts, &mut rng);
-        for (&i, s) in active.iter().zip(&sampled) {
-            envs[i].step(&s.actions);
-        }
-    }
-
-    let mut acc = Metrics::default();
-    for env in &envs {
-        let m = env.metrics();
         acc.data_collection_ratio += m.data_collection_ratio;
         acc.remaining_data_ratio += m.remaining_data_ratio;
         acc.energy_efficiency += m.energy_efficiency;
@@ -193,38 +118,26 @@ mod tests {
     }
 
     #[test]
-    fn batched_greedy_eval_matches_sequential_eval() {
+    fn policy_evaluation_is_bitwise_reproducible() {
         let mut env_cfg = EnvConfig::tiny();
         env_cfg.horizon = 12;
-        let mut cfg = TrainerConfig::drl_cews(env_cfg.clone()).quick();
-        cfg.curiosity = CuriosityChoice::None;
-        let t = crate::trainer::Trainer::new(cfg).unwrap();
-        let opts = PolicyOptions { mode: SampleMode::Greedy, mask_invalid: true };
-
-        let batched = evaluate_policy_batched(t.net(), t.store(), &env_cfg, opts, 3, 9);
-        let mut sched =
-            PolicyScheduler::new(t.net().clone(), t.store().clone(), true, true, "greedy");
-        let sequential = evaluate(&mut sched, &env_cfg, 3, 9);
-
-        // Greedy sampling ignores the RNG and the kernels are
-        // batch-invariant, so lockstep and sequential evaluation must land
-        // on identical metrics.
-        assert_eq!(
-            batched.data_collection_ratio.to_bits(),
-            sequential.data_collection_ratio.to_bits()
-        );
-        assert_eq!(batched.energy_efficiency.to_bits(), sequential.energy_efficiency.to_bits());
-        assert_eq!(batched.fairness_index.to_bits(), sequential.fairness_index.to_bits());
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one")]
-    fn batched_zero_episodes_panics() {
-        let env_cfg = EnvConfig::tiny();
-        let mut cfg = TrainerConfig::drl_cews(env_cfg.clone()).quick();
-        cfg.curiosity = CuriosityChoice::None;
-        let t = crate::trainer::Trainer::new(cfg).unwrap();
-        let opts = PolicyOptions::default();
-        evaluate_policy_batched(t.net(), t.store(), &env_cfg, opts, 0, 0);
+        for mask_invalid in [true, false] {
+            let mut cfg = TrainerConfig::drl_cews(env_cfg.clone()).quick();
+            cfg.curiosity = CuriosityChoice::None;
+            cfg.mask_invalid = mask_invalid;
+            let t = crate::trainer::Trainer::new(cfg).unwrap();
+            let run =
+                || evaluate(&mut PolicyScheduler::from_trainer(&t, "drl-cews"), &env_cfg, 3, 9);
+            let (a, b) = (run(), run());
+            let bits = |m: &Metrics| {
+                [
+                    m.data_collection_ratio.to_bits(),
+                    m.remaining_data_ratio.to_bits(),
+                    m.energy_efficiency.to_bits(),
+                    m.fairness_index.to_bits(),
+                ]
+            };
+            assert_eq!(bits(&a), bits(&b), "mask_invalid={mask_invalid}");
+        }
     }
 }

@@ -314,8 +314,6 @@ struct CewsEmployee {
     reward_mode: RewardMode,
     opts: PolicyOptions,
     rng: StdRng,
-    episode: usize,
-    base_seed: u64,
 }
 
 impl CewsEmployee {
@@ -336,7 +334,6 @@ impl Employee for CewsEmployee {
         // All employees train on the *same* designed scenario (the paper
         // trains and evaluates on one map, Fig. 2b); experience diversity
         // comes from each employee's independent stochastic policy draws.
-        let _ = self.base_seed;
         self.env.reset();
         self.buffer.clear();
         self.curiosity.clear_buffer();
@@ -376,7 +373,6 @@ impl Employee for CewsEmployee {
         }
         let v_last = state_value(&self.net, &self.store, &self.env);
         finish_rollout(&mut self.buffer, &self.ppo, v_last);
-        self.episode += 1;
 
         let m = self.env.metrics();
         EpisodeStats {
@@ -504,8 +500,6 @@ impl Trainer {
                 reward_mode: fac_reward,
                 opts: PolicyOptions { mode: SampleMode::Stochastic, mask_invalid: fac_mask },
                 rng: StdRng::seed_from_u64(fac_seed.wrapping_add(1000 + id as u64)),
-                episode: 0,
-                base_seed: fac_env.seed,
             })
         };
         let mut executor =

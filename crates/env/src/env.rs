@@ -374,10 +374,11 @@ impl CrowdsensingEnv {
     /// a borrowed columnar view of the per-worker outcomes.
     ///
     /// This is the allocation-free fleet-scale entry point: the physics runs
-    /// over [`FleetState`] columns (pool-chunked above
-    /// [`fleet::FLEET_PAR_MIN_WORKERS`]), and the `workers()` / `pois()`
-    /// views read the updated columns directly. Bitwise-identical to the
-    /// per-entity AoS oracle of `tests/fleet_equivalence.rs`.
+    /// over [`FleetState`] columns in two sequential passes (per-worker
+    /// motion, then in-order PoI and station resolution), and the
+    /// `workers()` / `pois()` views read the updated columns directly.
+    /// Bitwise-identical to the per-entity AoS oracle of
+    /// `tests/fleet_equivalence.rs`.
     pub fn step_fleet(&mut self, actions: &[WorkerAction]) -> FleetStepView<'_> {
         assert_eq!(actions.len(), self.fleet.num_workers(), "one action per worker required");
         assert!(!self.done(), "episode already finished; call reset()");

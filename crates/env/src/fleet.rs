@@ -17,9 +17,8 @@
 //! * **Phase A** — per-worker physics with no cross-worker dependency:
 //!   action decoding, exhaustion, route legality (boundary, obstacles,
 //!   travel-energy budget) and the tentative end position. Each worker only
-//!   reads its own columns plus static geometry, so the phase is pure per
-//!   index and the kernel pool can split it across column chunks above
-//!   [`FLEET_PAR_MIN_WORKERS`].
+//!   reads its own columns plus static geometry; one sequential loop runs
+//!   it over the fleet.
 //! * **Phase B** — sequential resolution in worker-index order of the two
 //!   competitive resources, exactly as the paper specifies: charging
 //!   stations serve one worker per slot (earlier index wins) and PoIs are
@@ -40,10 +39,7 @@ use crate::action::{Move, WorkerAction, NUM_MOVES};
 use crate::config::EnvConfig;
 use crate::entities::{ChargingStation, Poi, Worker};
 use crate::geometry::{Point, Rect};
-use std::sync::{mpsc, Arc};
 use vc_nn::arena;
-use vc_nn::ops::gemm::kernel_threads;
-use vc_nn::ops::pool;
 
 /// Worker occupied the slot with a (possibly stalled) move.
 const MODE_MOVE: u8 = 0;
@@ -51,16 +47,6 @@ const MODE_MOVE: u8 = 0;
 const MODE_CHARGE: u8 = 1;
 /// Worker is out of energy and stalls.
 const MODE_EXHAUSTED: u8 = 2;
-/// Phase-A packed flag bit: the move was illegal (collision).
-const FLAG_COLLIDED: usize = 1 << 2;
-
-/// Fleet size above which phase A is split across kernel-pool chunks.
-///
-/// Measured threshold: phase A costs tens of nanoseconds per worker while a
-/// pooled dispatch (job boxing, input snapshot, result channel) costs tens
-/// of microseconds, so fan-out only pays once a chunk carries roughly a
-/// thousand workers. Below this the sequential columnar loop wins outright.
-pub const FLEET_PAR_MIN_WORKERS: usize = 1024;
 
 // ---- spatial index --------------------------------------------------------
 
@@ -294,7 +280,7 @@ impl FleetState {
             size_y: cfg.size_y,
             beta: cfg.beta,
             max_step: cfg.max_step,
-            obstacles: Arc::new(cfg.obstacles.clone()),
+            obstacles: cfg.obstacles.clone(),
         };
     }
 
@@ -589,14 +575,14 @@ impl FleetStepView<'_> {
 // ---- phase A: independent per-worker physics ------------------------------
 
 /// The static inputs of phase A: map bounds, travel cost, step length and
-/// obstacles. Pooled jobs clone it; the obstacle list is shared, not copied.
+/// obstacles.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Motion {
     size_x: f32,
     size_y: f32,
     beta: f32,
     max_step: f32,
-    obstacles: Arc<Vec<Rect>>,
+    obstacles: Vec<Rect>,
 }
 
 impl Motion {
@@ -616,8 +602,7 @@ impl Motion {
     }
 
     /// One worker's phase-A physics: mode classification, route legality
-    /// and the tentative end position. Pure in its inputs — this is what
-    /// makes the phase chunkable.
+    /// and the tentative end position. Pure in its inputs.
     #[inline]
     fn worker(
         &self,
@@ -644,156 +629,16 @@ impl Motion {
     }
 }
 
-/// Inputs snapshotted for pooled phase-A jobs (`'static`, shared read-only).
-struct ParSnapshot {
-    motion: Motion,
-    x: Vec<f32>,
-    y: Vec<f32>,
-    energy: Vec<f32>,
-    /// Per-worker action code: `mv.index()` | `FLAG_CHARGE` bit.
-    act: Vec<usize>,
-}
-
-/// Charge-request bit in the packed action code.
-const ACT_CHARGE: usize = 1 << 8;
-
-/// Phase A over a worker range, writing the scratch columns directly.
-#[allow(clippy::too_many_arguments)]
-fn phase_a_range(
-    snap: &ParSnapshot,
-    lo: usize,
-    hi: usize,
-    end_x: &mut [f32],
-    end_y: &mut [f32],
-    traveled: &mut [f32],
-    flags: &mut [usize],
-) {
-    for i in lo..hi {
-        let code = snap.act[i];
-        let mv = Move::from_index(code & 0xff);
-        let (mode, collided, ex, ey, tr) =
-            snap.motion.worker(snap.x[i], snap.y[i], snap.energy[i], mv, code & ACT_CHARGE != 0);
-        end_x[i - lo] = ex;
-        end_y[i - lo] = ey;
-        traveled[i - lo] = tr;
-        flags[i - lo] = mode as usize | if collided { FLAG_COLLIDED } else { 0 };
-    }
-}
-
-/// Runs phase A, sequentially or pool-chunked above the fleet threshold.
+/// Runs phase A: the sequential columnar loop over the workers.
 fn phase_a(fleet: &FleetState, scr: &mut FleetScratch, actions: &[WorkerAction]) {
-    let w = actions.len();
-    let threads = kernel_threads().min(w / FLEET_PAR_MIN_WORKERS).max(1);
-    if threads <= 1 {
-        // Sequential columnar loop: same scalar kernel, no snapshot copies.
-        for (i, a) in actions.iter().enumerate() {
-            let (mode, collided, ex, ey, tr) =
-                fleet.motion.worker(fleet.x[i], fleet.y[i], fleet.energy[i], a.movement, a.charge);
-            scr.end_x[i] = ex;
-            scr.end_y[i] = ey;
-            scr.traveled[i] = tr;
-            scr.mode[i] = mode;
-            scr.collided[i] = u8::from(collided);
-        }
-        return;
-    }
-
-    // Pooled dispatch (the GEMM idiom): snapshot the dynamic columns into an
-    // `Arc`, fan chunk jobs out to the pool, keep chunk 0 for the caller,
-    // and drain results over a per-call channel while helping the pool.
-    // The per-worker kernel is pure, so chunk boundaries cannot change any
-    // result bit — pooled and sequential phase A are identical.
-    pool::ensure_workers(threads - 1);
-    let mut act = arena::take_usize(w);
-    act.extend(actions.iter().map(|a| a.movement.index() | if a.charge { ACT_CHARGE } else { 0 }));
-    let mut x = arena::take_f32(w);
-    x.extend_from_slice(&fleet.x);
-    let mut y = arena::take_f32(w);
-    y.extend_from_slice(&fleet.y);
-    let mut energy = arena::take_f32(w);
-    energy.extend_from_slice(&fleet.energy);
-    let snap = Arc::new(ParSnapshot { motion: fleet.motion.clone(), x, y, energy, act });
-
-    let chunk = w.div_ceil(threads);
-    type ChunkOut = (usize, usize, Vec<f32>, Vec<f32>, Vec<f32>, Vec<usize>);
-    let (tx, rx) = mpsc::channel::<ChunkOut>();
-    let mut jobs: Vec<pool::Job> = Vec::new();
-    let mut lo = chunk; // chunk 0 stays with the caller
-    while lo < w {
-        let hi = (lo + chunk).min(w);
-        let snap = Arc::clone(&snap);
-        let tx = tx.clone();
-        jobs.push(Box::new(move || {
-            let n = hi - lo;
-            let mut ex = arena::take_f32(n);
-            ex.resize(n, 0.0);
-            let mut ey = arena::take_f32(n);
-            ey.resize(n, 0.0);
-            let mut tr = arena::take_f32(n);
-            tr.resize(n, 0.0);
-            let mut fl = arena::take_usize(n);
-            fl.resize(n, 0);
-            phase_a_range(&snap, lo, hi, &mut ex, &mut ey, &mut tr, &mut fl);
-            let _ = tx.send((lo, hi, ex, ey, tr, fl));
-        }));
-        lo = hi;
-    }
-    drop(tx);
-    let mut pending = jobs.len();
-    pool::submit(jobs);
-
-    // The caller's chunk, computed in place.
-    {
-        let hi = chunk.min(w);
-        let mut fl = arena::take_usize(hi);
-        fl.resize(hi, 0);
-        phase_a_range(
-            &snap,
-            0,
-            hi,
-            &mut scr.end_x[..hi],
-            &mut scr.end_y[..hi],
-            &mut scr.traveled[..hi],
-            &mut fl,
-        );
-        for (i, &f) in fl.iter().enumerate() {
-            scr.mode[i] = (f & 0x3) as u8;
-            scr.collided[i] = u8::from(f & FLAG_COLLIDED != 0);
-        }
-        arena::put_usize(fl);
-    }
-
-    while pending > 0 {
-        match rx.try_recv() {
-            Ok((lo, hi, ex, ey, tr, fl)) => {
-                scr.end_x[lo..hi].copy_from_slice(&ex);
-                scr.end_y[lo..hi].copy_from_slice(&ey);
-                scr.traveled[lo..hi].copy_from_slice(&tr);
-                for (off, &f) in fl.iter().enumerate() {
-                    scr.mode[lo + off] = (f & 0x3) as u8;
-                    scr.collided[lo + off] = u8::from(f & FLAG_COLLIDED != 0);
-                }
-                arena::put_f32(ex);
-                arena::put_f32(ey);
-                arena::put_f32(tr);
-                arena::put_usize(fl);
-                pending -= 1;
-            }
-            Err(mpsc::TryRecvError::Empty) => {
-                if !pool::try_run_one() {
-                    std::thread::yield_now();
-                }
-            }
-            Err(mpsc::TryRecvError::Disconnected) => {
-                panic!("fleet phase-A pool job panicked ({pending} chunk(s) lost)");
-            }
-        }
-    }
-    if let Ok(snap) = Arc::try_unwrap(snap) {
-        arena::put_f32(snap.x);
-        arena::put_f32(snap.y);
-        arena::put_f32(snap.energy);
-        arena::put_usize(snap.act);
+    for (i, a) in actions.iter().enumerate() {
+        let (mode, collided, ex, ey, tr) =
+            fleet.motion.worker(fleet.x[i], fleet.y[i], fleet.energy[i], a.movement, a.charge);
+        scr.end_x[i] = ex;
+        scr.end_y[i] = ey;
+        scr.traveled[i] = tr;
+        scr.mode[i] = mode;
+        scr.collided[i] = u8::from(collided);
     }
 }
 

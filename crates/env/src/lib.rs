@@ -52,7 +52,7 @@ pub mod prelude {
     pub use crate::entities::{ChargingStation, Poi, Worker};
     pub use crate::env::{CrowdsensingEnv, StepResult, WorkerOutcome};
     pub use crate::error::EnvError;
-    pub use crate::fleet::{FleetState, FleetStepView, FLEET_PAR_MIN_WORKERS};
+    pub use crate::fleet::{FleetState, FleetStepView};
     pub use crate::geometry::{Point, Rect};
     pub use crate::metrics::{jain_index, Metrics};
     pub use crate::pathfind::DistanceField;

@@ -3,7 +3,7 @@
 //! **bitwise** identical to `step_reference` below (the per-entity AoS
 //! loop, kept here as the oracle) — same outcomes, same worker state, same
 //! PoI drain, same κ/ξ/ρ — across every scenario family, degenerate fleet
-//! shapes, and every kernel-pool thread count.
+//! shapes, and a fleet of more than a thousand workers.
 //!
 //! `f32` equality on non-NaN values is bit equality, so `assert_eq!` over
 //! the `PartialEq` entity structs is exactly the "SoA ≡ AoS bitwise" claim.
@@ -14,7 +14,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use vc_env::prelude::*;
 use vc_env::scenario_gen::generate;
-use vc_nn::ops::gemm::set_kernel_threads;
 
 /// The oracle's own AoS copy of the fleet, snapshotted from an env before
 /// its first step.
@@ -276,24 +275,17 @@ fn degenerate_fleet_with_more_workers_than_pois() {
 }
 
 #[test]
-fn pooled_phase_a_matches_sequential_at_every_thread_count() {
-    // A fleet above FLEET_PAR_MIN_WORKERS so thread counts > 1 actually
-    // engage the pooled phase-A dispatch.
+fn fleet_above_a_thousand_workers_matches_the_oracle() {
     let mut cfg = EnvConfig::paper_default();
     cfg.size_x = 64.0;
     cfg.size_y = 64.0;
     cfg.grid = 16;
-    cfg.num_workers = FLEET_PAR_MIN_WORKERS + 100;
+    cfg.num_workers = 1124;
     cfg.num_pois = 800;
     cfg.num_stations = 16;
     cfg.obstacles.clear();
     cfg.seed = 77;
-    for threads in [1usize, 2, 4] {
-        set_kernel_threads(threads);
-        let mut soa = CrowdsensingEnv::new(cfg.clone());
-        let mut rng = StdRng::seed_from_u64(777);
-        let label = format!("threads={threads}");
-        assert_paths_identical(&mut soa, 4, &mut rng, &label);
-    }
-    set_kernel_threads(1);
+    let mut soa = CrowdsensingEnv::new(cfg);
+    let mut rng = StdRng::seed_from_u64(777);
+    assert_paths_identical(&mut soa, 4, &mut rng, "w=1124");
 }

@@ -36,7 +36,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use vc_telemetry::{Counter, Field, Histogram, Telemetry};
@@ -357,15 +357,11 @@ pub trait Employee: Send + 'static {
     fn restore_rng(&mut self, _state: [u64; 4]) {}
 }
 
-/// A thread-safe flat-gradient accumulator — the "PPO gradient buffer" /
-/// "curiosity gradient buffer" of Fig. 1.
+/// A flat-gradient accumulator — the "PPO gradient buffer" / "curiosity
+/// gradient buffer" of Fig. 1. Employees ship gradients over the reply
+/// channel; only the chief thread touches the buffers.
 #[derive(Debug, Default)]
 pub struct GradientBuffer {
-    inner: Mutex<GradientBufferInner>,
-}
-
-#[derive(Debug, Default)]
-struct GradientBufferInner {
     sum: Vec<f32>,
     contributions: usize,
 }
@@ -381,36 +377,34 @@ impl GradientBuffer {
     /// The first contribution after a [`Self::take`] fixes the expected
     /// length; later contributions of a different length are rejected with
     /// [`ChiefError::GradientLengthMismatch`] and leave the buffer unchanged.
-    pub fn accumulate(&self, grads: &[f32]) -> Result<(), ChiefError> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if inner.sum.is_empty() {
-            inner.sum = grads.to_vec();
+    pub fn accumulate(&mut self, grads: &[f32]) -> Result<(), ChiefError> {
+        if self.sum.is_empty() {
+            self.sum = grads.to_vec();
         } else {
-            if inner.sum.len() != grads.len() {
+            if self.sum.len() != grads.len() {
                 return Err(ChiefError::GradientLengthMismatch {
-                    expected: inner.sum.len(),
+                    expected: self.sum.len(),
                     got: grads.len(),
                 });
             }
-            for (s, &g) in inner.sum.iter_mut().zip(grads) {
+            for (s, &g) in self.sum.iter_mut().zip(grads) {
                 *s += g;
             }
         }
-        inner.contributions += 1;
+        self.contributions += 1;
         Ok(())
     }
 
     /// Number of gradients accumulated since the last [`Self::take`].
     pub fn contributions(&self) -> usize {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).contributions
+        self.contributions
     }
 
     /// Drains the buffer, returning the summed gradient (empty if nothing
     /// was accumulated).
-    pub fn take(&self) -> Vec<f32> {
-        let mut inner = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        inner.contributions = 0;
-        std::mem::take(&mut inner.sum)
+    pub fn take(&mut self) -> Vec<f32> {
+        self.contributions = 0;
+        std::mem::take(&mut self.sum)
     }
 }
 
@@ -629,8 +623,8 @@ pub struct ChiefExecutor {
     /// Kept alive (and cloned into respawned threads) so the reply channel
     /// never disconnects while the chief lives.
     reply_tx: SyncSender<(usize, u64, Reply)>,
-    ppo_buffer: Arc<GradientBuffer>,
-    curiosity_buffer: Arc<GradientBuffer>,
+    ppo_buffer: GradientBuffer,
+    curiosity_buffer: GradientBuffer,
     cfg: ChiefConfig,
     faults: Arc<FaultPlan>,
     factory: Option<EmployeeFactory>,
@@ -712,8 +706,8 @@ impl ChiefExecutor {
             slots,
             reply_rx,
             reply_tx,
-            ppo_buffer: Arc::new(GradientBuffer::new()),
-            curiosity_buffer: Arc::new(GradientBuffer::new()),
+            ppo_buffer: GradientBuffer::new(),
+            curiosity_buffer: GradientBuffer::new(),
             cfg,
             faults,
             factory,
@@ -1191,7 +1185,7 @@ impl ChiefExecutor {
 
     /// Clears both gradient buffers after a failed round so stale partial
     /// sums can't leak into the next round.
-    fn drain_buffers(&self) {
+    fn drain_buffers(&mut self) {
         let _ = self.ppo_buffer.take();
         let _ = self.curiosity_buffer.take();
     }
@@ -1329,7 +1323,7 @@ mod tests {
 
     #[test]
     fn gradient_buffer_sums_and_drains() {
-        let buf = GradientBuffer::new();
+        let mut buf = GradientBuffer::new();
         buf.accumulate(&[1.0, 2.0]).unwrap();
         buf.accumulate(&[0.5, -1.0]).unwrap();
         assert_eq!(buf.contributions(), 2);
@@ -1340,7 +1334,7 @@ mod tests {
 
     #[test]
     fn gradient_buffer_rejects_mismatched_lengths() {
-        let buf = GradientBuffer::new();
+        let mut buf = GradientBuffer::new();
         buf.accumulate(&[1.0, 2.0]).unwrap();
         let err = buf.accumulate(&[1.0]).unwrap_err();
         assert_eq!(err, ChiefError::GradientLengthMismatch { expected: 2, got: 1 });
