@@ -23,6 +23,7 @@
 use crate::arena;
 use crate::op::Op;
 use crate::ops::conv::{conv2d_forward, conv2d_input_grad, conv2d_weight_grads, ConvCfg};
+use crate::ops::join::{relu_join_matmul, relu_join_matmul_backward};
 use crate::ops::norm::{layer_norm_backward, layer_norm_forward};
 use crate::ops::softmax::{log_softmax_backward, log_softmax_rows, softmax_backward, softmax_rows};
 use crate::param::{ParamId, ParamStore};
@@ -277,30 +278,6 @@ impl Graph {
         self.push(out, &[x, b], Op::AddRowBroadcast, None, ng)
     }
 
-    /// Every row of `x:[B, F]` plus every row of `table:[W, F]` →
-    /// `[B·W, F]`, row `e·W + w` holding `x[e] + table[w]` (env-major,
-    /// worker-minor). One pass writes the joined rows; no gathered copy of
-    /// either operand is materialized.
-    pub fn broadcast_add_rows(&mut self, x: NodeId, table: NodeId) -> NodeId {
-        let xv = self.value(x);
-        let tv = self.value(table);
-        assert_eq!(xv.ndim(), 2, "broadcast_add_rows lhs must be rank 2");
-        assert_eq!(tv.ndim(), 2, "broadcast_add_rows table must be rank 2");
-        assert_eq!(xv.shape()[1], tv.shape()[1], "broadcast_add_rows width mismatch");
-        let (b, w, f) = (xv.shape()[0], tv.shape()[0], xv.shape()[1]);
-        let mut out = arena::take_f32(b * w * f);
-        if f > 0 {
-            for xr in xv.data().chunks_exact(f) {
-                for tr in tv.data().chunks_exact(f) {
-                    out.extend(xr.iter().zip(tr).map(|(a, t)| a + t));
-                }
-            }
-        }
-        let v = Tensor::from_vec(&[b * w, f], out);
-        let ng = self.any_needs_grad(&[x, table]);
-        self.push(v, &[x, table], Op::BroadcastAddRows, None, ng)
-    }
-
     /// `c * a` for a known scalar.
     pub fn scale(&mut self, a: NodeId, c: f32) -> NodeId {
         let v = self.value(a).map(|x| c * x);
@@ -386,6 +363,17 @@ impl Graph {
         let v = self.value(a).matmul(self.value(b));
         let ng = self.any_needs_grad(&[a, b]);
         self.push(v, &[a, b], Op::MatMul, None, ng)
+    }
+
+    /// `relu(x[e] + table[w]) · w` for every row `e` of `x:[B, F]` and
+    /// every row `w` of `table:[W, F]` → `[B·W, N]`, row `e·W + w`
+    /// (env-major, worker-minor). The `[B·W, F]` joined rows are written
+    /// straight into the GEMM's packed panels and never stored; backward
+    /// recomputes them (see [`crate::ops::join`]).
+    pub fn relu_join_matmul(&mut self, x: NodeId, table: NodeId, w: NodeId) -> NodeId {
+        let v = relu_join_matmul(self.value(x), self.value(table), self.value(w));
+        let ng = self.any_needs_grad(&[x, table, w]);
+        self.push(v, &[x, table, w], Op::ReluJoinMatMul, None, ng)
     }
 
     // ---- reductions -------------------------------------------------------
@@ -633,33 +621,6 @@ impl Graph {
                     send(&mut grads, x, gout);
                     send(&mut grads, b, gb);
                 }
-                Op::BroadcastAddRows => {
-                    // Each input row's gradient is the sum of the output
-                    // rows it fed, accumulated in ascending output-row
-                    // order from zero — the same chains as gather_rows'
-                    // scatter-add.
-                    let x = node.parents[0];
-                    let table = node.parents[1];
-                    let (b, f) = (self.value(x).shape()[0], self.value(x).shape()[1]);
-                    let w = self.value(table).shape()[0];
-                    let mut gx = Tensor::zeros(&[b, f]);
-                    let mut gt = Tensor::zeros(&[w, f]);
-                    if f > 0 && w > 0 {
-                        let blocks = gout.data().chunks_exact(w * f);
-                        for (gxr, block) in gx.data_mut().chunks_exact_mut(f).zip(blocks) {
-                            for (gtr, gr) in
-                                gt.data_mut().chunks_exact_mut(f).zip(block.chunks_exact(f))
-                            {
-                                for ((ax, at), &g) in gxr.iter_mut().zip(gtr.iter_mut()).zip(gr) {
-                                    *ax += g;
-                                    *at += g;
-                                }
-                            }
-                        }
-                    }
-                    send(&mut grads, x, gx);
-                    send(&mut grads, table, gt);
-                }
                 Op::Scale(c) => {
                     let c = *c;
                     send(&mut grads, node.parents[0], gout.map(|g| c * g));
@@ -674,6 +635,22 @@ impl Graph {
                     let gb = self.value(a).matmul_tn(&gout);
                     send(&mut grads, a, ga);
                     send(&mut grads, b, gb);
+                }
+                Op::ReluJoinMatMul => {
+                    let (x, table, w) = (node.parents[0], node.parents[1], node.parents[2]);
+                    let g = relu_join_matmul_backward(
+                        &gout,
+                        self.value(x),
+                        self.value(table),
+                        self.value(w),
+                        relevant(x) || relevant(table),
+                        relevant(w),
+                    );
+                    for (p, grad) in [(x, g.gx), (table, g.gtable), (w, g.gw)] {
+                        if let Some(grad) = grad {
+                            send(&mut grads, p, grad);
+                        }
+                    }
                 }
                 Op::Relu => {
                     let x = self.value(node.parents[0]);
@@ -1024,15 +1001,12 @@ mod tests {
     }
 
     #[test]
-    fn grad_broadcast_add_rows_and_slice_cols() {
+    fn grad_slice_cols() {
         let x0 = Tensor::from_vec(&[2, 3], (0..6).map(|i| (i as f32 * 0.37).sin()).collect());
-        let table = Tensor::from_vec(&[3, 3], (0..9).map(|i| (i as f32 * 0.61).cos()).collect());
         check(
-            &move |g, x| {
-                let t = g.leaf(table.clone());
-                let j = g.broadcast_add_rows(x, t);
-                let left = g.slice_cols(j, 0, 2);
-                let right = g.slice_cols(j, 1, 2);
+            &|g, x| {
+                let left = g.slice_cols(x, 0, 2);
+                let right = g.slice_cols(x, 1, 2);
                 let m = g.mul(left, right);
                 g.sum_all(m)
             },

@@ -25,15 +25,16 @@ pub enum Op {
     Neg,
     /// `x[rows, cols] + b[cols]`, broadcasting `b` over rows.
     AddRowBroadcast,
-    /// `x[B, F]` joined with `table[W, F]` into `[B·W, F]`: row `e·W + w`
-    /// is `x[e] + table[w]`.
-    BroadcastAddRows,
     /// `c * a` for a compile-time-known scalar.
     Scale(f32),
     /// `a + c` for a compile-time-known scalar.
     AddScalar(f32),
     /// Rank-2 matrix multiply.
     MatMul,
+    /// `x[B, F]`, `table[W, F]` and `w[F, N]` into `[B·W, N]`: row `e·W + w`
+    /// is `relu(x[e] + table[w]) · w`. The joined rows are never stored;
+    /// backward recomputes them.
+    ReluJoinMatMul,
     /// Elementwise max(x, 0).
     Relu,
     /// Elementwise tanh.
@@ -119,10 +120,10 @@ impl Op {
             Op::Mul => "mul",
             Op::Neg => "neg",
             Op::AddRowBroadcast => "add_row_broadcast",
-            Op::BroadcastAddRows => "broadcast_add_rows",
             Op::Scale(_) => "scale",
             Op::AddScalar(_) => "add_scalar",
             Op::MatMul => "matmul",
+            Op::ReluJoinMatMul => "relu_join_matmul",
             Op::Relu => "relu",
             Op::Tanh => "tanh",
             Op::Sigmoid => "sigmoid",

@@ -6,6 +6,8 @@
 pub mod conv;
 /// Blocked GEMM kernels and the kernel threading knob.
 pub mod gemm;
+/// The fleet heads' fused `relu(x[e] + table[w]) · W` and its backward.
+pub mod join;
 /// Layer normalization.
 pub mod norm;
 /// The persistent kernel thread pool (the only thread-creating module).

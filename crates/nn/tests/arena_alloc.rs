@@ -3,6 +3,10 @@
 //! allocations. Every activation, gradient, scratch buffer, tape node and
 //! shape vector must come out of (and return to) the per-thread freelists.
 //!
+//! A second case holds the fleet heads' `relu_join_matmul` to the same
+//! standard at B = 1, W = 1000: its GEMM panel and the join it recomputes
+//! in backward both come from the arena.
+//!
 //! The test installs a counting `GlobalAlloc` wrapper, warms the arena with a
 //! few steps, then asserts the allocation counter does not move across
 //! subsequent steps. Any new `Vec` sneaking into the hot path shows up as a
@@ -12,6 +16,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
 
 use vc_nn::arena;
 use vc_nn::graph::Graph;
@@ -43,6 +48,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The counter is process-wide, so the tests here take turns: one test's
+/// warm-up must not land inside another's measured step.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 struct Model {
     store: ParamStore,
@@ -107,6 +120,7 @@ fn train_step(m: &mut Model, input: &[f32]) -> f32 {
 
 #[test]
 fn steady_state_training_step_performs_zero_heap_allocations() {
+    let _turn = serial();
     set_kernel_threads(1);
     let mut m = build_model();
     let input: Vec<f32> =
@@ -129,6 +143,53 @@ fn steady_state_training_step_performs_zero_heap_allocations() {
             delta, 0,
             "steady-state step {step} hit the global allocator {delta} time(s); \
              some graph/kernel buffer is bypassing the arena"
+        );
+    }
+}
+
+const WORKERS: usize = 1000;
+const HEAD_FEAT: usize = 128;
+const HEAD_OUT: usize = 11;
+
+/// One fleet-head step at B = 1, W = 1000: `relu_join_matmul` forward,
+/// a squared loss, and backward into all three operands.
+fn fleet_head_step(store: &mut ParamStore, ids: [ParamId; 3]) -> f32 {
+    let mut g = Graph::new();
+    let x = g.param(store, ids[0]);
+    let table = g.param(store, ids[1]);
+    let w = g.param(store, ids[2]);
+    let y = g.relu_join_matmul(x, table, w);
+    let sq = g.square(y);
+    let loss = g.mean_all(sq);
+    let l = g.backward(loss, store);
+    store.zero_grads();
+    l
+}
+
+#[test]
+fn steady_state_fleet_head_step_performs_zero_heap_allocations() {
+    let _turn = serial();
+    set_kernel_threads(1);
+    let mut store = ParamStore::new();
+    let wave = |n: usize, f: f32| -> Vec<f32> { (0..n).map(|i| (i as f32 * f).sin()).collect() };
+    let ids = [
+        store.add("x", Tensor::from_vec(&[1, HEAD_FEAT], wave(HEAD_FEAT, 0.37))),
+        store
+            .add("table", Tensor::from_vec(&[WORKERS, HEAD_FEAT], wave(WORKERS * HEAD_FEAT, 0.11))),
+        store.add("w", Tensor::from_vec(&[HEAD_FEAT, HEAD_OUT], wave(HEAD_FEAT * HEAD_OUT, 0.07))),
+    ];
+    for _ in 0..5 {
+        fleet_head_step(&mut store, ids);
+    }
+    for step in 0..5 {
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let l = fleet_head_step(&mut store, ids);
+        let delta = ALLOCS.load(Ordering::Relaxed) - before;
+        assert!(l.is_finite(), "step {step} produced non-finite loss {l}");
+        assert_eq!(
+            delta, 0,
+            "steady-state fleet-head step {step} hit the global allocator {delta} time(s); \
+             the join scratch or a GEMM panel is bypassing the arena"
         );
     }
 }

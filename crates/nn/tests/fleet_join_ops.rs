@@ -1,8 +1,9 @@
-//! Bitwise equivalence of the fleet join ops against the code they replace.
+//! Bitwise equivalence of the fleet head ops against the code they replace.
 //!
-//! * `broadcast_add_rows(x, table)` must equal the gather-based join it
-//!   replaced — `gather_rows(x, [e; W]) + gather_rows(table, 0..W)` — in
-//!   forward value and in the gradients of both inputs, bit for bit.
+//! * `relu_join_matmul(x, table, w)` must equal the gather-based chain it
+//!   replaced — `relu(gather_rows(x, [e; W]) + gather_rows(table, 0..W))·w`
+//!   — in forward value and in the gradients of `x`, `table` and `w`, bit
+//!   for bit.
 //! * `slice_cols` must equal plain column copies of the full-width value
 //!   forward, and scatter exactly the upstream gradient into its columns
 //!   (the full-width reference is a masked weighting of the whole tensor).
@@ -22,14 +23,14 @@ fn bits(t: &Tensor) -> Vec<u32> {
     t.data().iter().map(|v| v.to_bits()).collect()
 }
 
-/// Builds the join with `join`, then a downstream loss that mixes rows and
-/// columns (relu, a matmul, squares), so the join's gradient is non-trivial.
-/// Returns the joined value and the gradients of `x`, `table` and `w`.
-fn run_join(
+/// Builds the head output with `head`, then a downstream loss that weights
+/// every logit differently, so each gradient is non-trivial. Returns the
+/// head's value and the gradients of `x`, `table` and `w`.
+fn run_head(
     x0: &Tensor,
     t0: &Tensor,
     w0: &Tensor,
-    join: impl Fn(&mut Graph, NodeId, NodeId) -> NodeId,
+    head: impl Fn(&mut Graph, NodeId, NodeId, NodeId) -> NodeId,
 ) -> (Tensor, Tensor, Tensor, Tensor) {
     let mut store = ParamStore::new();
     let x = store.add("x", x0.clone());
@@ -39,50 +40,74 @@ fn run_join(
     let xn = g.param(&store, x);
     let tn = g.param(&store, t);
     let wn = g.param(&store, w);
-    let joined = join(&mut g, xn, tn);
-    let value = g.value(joined).clone();
-    let r = g.relu(joined);
-    let y = g.matmul(r, wn);
+    let y = head(&mut g, xn, tn, wn);
+    let value = g.value(y).clone();
     let sq = g.square(y);
-    let loss = g.sum_all(sq);
+    let th = g.tanh(y);
+    let mixed = g.add(sq, th);
+    let loss = g.sum_all(mixed);
     g.backward(loss, &mut store);
     (value, store.grad(x).clone(), store.grad(t).clone(), store.grad(w).clone())
 }
 
+/// The unfused reference: gather both operands into `[B·W, F]`, add,
+/// relu, matmul.
+fn gather_oracle(g: &mut Graph, x: NodeId, t: NodeId, w: NodeId) -> NodeId {
+    let (batch, workers) = (g.shape(x)[0], g.shape(t)[0]);
+    let feat_idx: Vec<usize> = (0..batch).flat_map(|e| std::iter::repeat_n(e, workers)).collect();
+    let embed_idx: Vec<usize> = (0..batch).flat_map(|_| 0..workers).collect();
+    let xr = g.gather_rows(x, feat_idx);
+    let tr = g.gather_rows(t, embed_idx);
+    let joined = g.add(xr, tr);
+    let r = g.relu(joined);
+    g.matmul(r, w)
+}
+
 #[test]
-fn broadcast_add_rows_matches_gather_gather_add_bitwise() {
-    let (workers, feat) = (7, 10);
-    for batch in [1usize, 3] {
-        let mut rng = StdRng::seed_from_u64(40 + batch as u64);
-        let x0 = tensor2(&mut rng, batch, feat);
-        let t0 = tensor2(&mut rng, workers, feat);
-        let w0 = tensor2(&mut rng, feat, 11);
+fn relu_join_matmul_matches_gather_oracle_bitwise() {
+    // F = 300 crosses the GEMM's k-block, W = 1000 its row blocks, and
+    // N = 11 is the fleet heads' width.
+    for (feat, n) in [(10usize, 11usize), (300, 11), (128, 20)] {
+        for workers in [1usize, 3, 1000] {
+            for batch in [1usize, 3] {
+                let mut rng = StdRng::seed_from_u64((40 + batch + workers + feat) as u64);
+                let x0 = tensor2(&mut rng, batch, feat);
+                let t0 = tensor2(&mut rng, workers, feat);
+                let w0 = tensor2(&mut rng, feat, n);
 
-        let fused = run_join(&x0, &t0, &w0, |g, x, t| g.broadcast_add_rows(x, t));
-        let reference = run_join(&x0, &t0, &w0, |g, x, t| {
-            let feat_idx: Vec<usize> =
-                (0..batch).flat_map(|e| std::iter::repeat_n(e, workers)).collect();
-            let embed_idx: Vec<usize> = (0..batch).flat_map(|_| 0..workers).collect();
-            let xr = g.gather_rows(x, feat_idx);
-            let tr = g.gather_rows(t, embed_idx);
-            g.add(xr, tr)
-        });
+                let fused = run_head(&x0, &t0, &w0, |g, x, t, w| g.relu_join_matmul(x, t, w));
+                let reference = run_head(&x0, &t0, &w0, gather_oracle);
 
-        assert_eq!(fused.0.shape(), &[batch * workers, feat]);
-        assert_eq!(bits(&fused.0), bits(&reference.0), "B={batch}: joined value");
-        assert_eq!(bits(&fused.1), bits(&reference.1), "B={batch}: x gradient");
-        assert_eq!(bits(&fused.2), bits(&reference.2), "B={batch}: table gradient");
-        assert_eq!(bits(&fused.3), bits(&reference.3), "B={batch}: downstream gradient");
+                let label = format!("B={batch} W={workers} F={feat} N={n}");
+                assert_eq!(fused.0.shape(), &[batch * workers, n], "{label}");
+                assert_eq!(bits(&fused.0), bits(&reference.0), "{label}: forward value");
+                assert_eq!(bits(&fused.1), bits(&reference.1), "{label}: x gradient");
+                assert_eq!(bits(&fused.2), bits(&reference.2), "{label}: table gradient");
+                assert_eq!(bits(&fused.3), bits(&reference.3), "{label}: w gradient");
+            }
+        }
     }
 }
 
 #[test]
-fn broadcast_add_rows_handles_empty_operands() {
-    let mut g = Graph::new();
-    let x = g.leaf(Tensor::zeros(&[2, 3]));
-    let t = g.leaf(Tensor::zeros(&[0, 3]));
-    let j = g.broadcast_add_rows(x, t);
-    assert_eq!(g.shape(j), &[0, 3]);
+fn relu_join_matmul_handles_empty_operands() {
+    // No workers: no rows. No features: every logit is the empty sum.
+    for (x, t, w, want) in [([2, 3], [0, 3], [3, 11], [0, 11]), ([2, 0], [3, 0], [0, 4], [6, 4])] {
+        let mut store = ParamStore::new();
+        let xi = store.add("x", Tensor::zeros(&x));
+        let ti = store.add("table", Tensor::zeros(&t));
+        let wi = store.add("w", Tensor::zeros(&w));
+        let mut g = Graph::new();
+        let (xn, tn, wn) = (g.param(&store, xi), g.param(&store, ti), g.param(&store, wi));
+        let y = g.relu_join_matmul(xn, tn, wn);
+        assert_eq!(g.shape(y), &want);
+        assert!(g.value(y).data().iter().all(|&v| v == 0.0));
+        let loss = g.sum_all(y);
+        g.backward(loss, &mut store);
+        assert_eq!(store.grad(xi).shape(), &x);
+        assert_eq!(store.grad(ti).shape(), &t);
+        assert_eq!(store.grad(wi).shape(), &w);
+    }
 }
 
 #[test]

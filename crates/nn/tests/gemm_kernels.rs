@@ -1,6 +1,6 @@
 //! Regression and equivalence tests for the blocked GEMM/conv kernel layer.
 //!
-//! Three families:
+//! Four families:
 //!
 //! 1. **NaN propagation** — the seed kernel's `if a == 0.0 { continue }`
 //!    shortcut silently converted `0 · NaN` and `0 · ∞` into `0`, hiding
@@ -12,7 +12,10 @@
 //!    the blocked kernel against the unblocked reference across awkward
 //!    shapes (primes, non-multiples of the tile, degenerate dims), exact to
 //!    the bit.
-//! 3. **Determinism** — same inputs produce bit-identical outputs across
+//! 3. **A-panel producer entry** — `gemm_with_a_panels` over a producer
+//!    that packs a stored A must equal `gemm` on that A bit for bit, on
+//!    ragged, multi-block and empty shapes, under both kernel flavors.
+//! 4. **Determinism** — same inputs produce bit-identical outputs across
 //!    repeated runs and across kernel thread settings, the property
 //!    checkpoint-resume relies on.
 
@@ -157,6 +160,113 @@ fn transposed_variants_match_naive_on_random_shapes() {
         let mut want = vec![0.0f32; m * n];
         gemm::matmul_naive(a.data(), &b_mat, &mut want, m, k, n);
         assert_eq!(got, want, "gemm_nt m={m} k={k} n={n}");
+    }
+}
+
+// ------------------------------------------------ A-panel producer entry
+
+/// Register-tile height of the packed A layout (`simd::MR`).
+const MR: usize = 4;
+
+/// A producer for `gemm_with_a_panels` that packs block `[i0, i0 + rows) ×
+/// [kb, kb + kc)` of the row-major `a: [m, k]` in the documented layout,
+/// after poisoning the panel so any element it fails to write shows.
+fn pack_block(a: &[f32], k: usize) -> impl FnMut(usize, usize, usize, usize, &mut [f32]) + '_ {
+    move |i0, rows, kb, kc, panel| {
+        assert!(i0 % MR == 0, "row blocks start on a micro-panel boundary");
+        assert_eq!(panel.len(), rows * kc, "panel length");
+        panel.fill(f32::NAN);
+        let mut i = 0;
+        while i < rows {
+            let r = MR.min(rows - i);
+            for p in 0..kc {
+                for rr in 0..r {
+                    panel[kc * i + p * r + rr] = a[(i0 + i + rr) * k + kb + p];
+                }
+            }
+            i += r;
+        }
+    }
+}
+
+/// `gemm_with_a_panels` over a packing producer must equal `gemm` on the
+/// same row-major A bit for bit, under both kernel flavors.
+fn check_panels_against_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut want = vec![0.0f32; m * n];
+    gemm::gemm(a, b, &mut want, m, k, n, 1);
+    for scalar in [false, true] {
+        gemm::set_force_scalar(scalar);
+        let mut got = vec![f32::NAN; m * n];
+        gemm::gemm_with_a_panels(pack_block(a, k), b, &mut got, m, k, n);
+        gemm::set_force_scalar(false);
+        assert_eq!(bits(&got), bits(&want), "m={m} k={k} n={n} force_scalar={scalar}");
+    }
+}
+
+#[test]
+fn a_panel_producer_matches_gemm_bitwise() {
+    // m < MR, m ≢ 0 (mod MR), m across several MC = 128 row blocks; k
+    // across several KC = 256 k-blocks; n = 11 (the fleet heads), a full
+    // NR panel, and n past NC = 128.
+    let mut rng = StdRng::seed_from_u64(0xA9A7);
+    for m in [1usize, 3, 4, 7, 130, 261] {
+        for k in [1usize, 11, 128, 600] {
+            for n in [1usize, 11, 16, 150] {
+                let a = tensor2(&mut rng, m, k);
+                let b = tensor2(&mut rng, k, n);
+                check_panels_against_gemm(a.data(), b.data(), m, k, n);
+            }
+        }
+    }
+}
+
+#[test]
+fn a_panel_producer_handles_empty_dims() {
+    // k = 0 is the empty sum: every output element is zero and the
+    // producer is never asked for a panel.
+    let mut out = vec![1.0f32; 6];
+    gemm::gemm_with_a_panels(|_, _, _, _, _| panic!("no panel for k = 0"), &[], &mut out, 3, 0, 2);
+    assert_eq!(out, vec![0.0; 6]);
+    let mut empty: Vec<f32> = Vec::new();
+    gemm::gemm_with_a_panels(
+        |_, _, _, _, _| panic!("no panel for m = 0"),
+        &[1.0; 8],
+        &mut empty,
+        0,
+        4,
+        2,
+    );
+    gemm::gemm_with_a_panels(
+        |_, _, _, _, _| panic!("no panel for n = 0"),
+        &[],
+        &mut empty,
+        5,
+        4,
+        0,
+    );
+}
+
+#[test]
+fn a_panel_producer_keeps_nan_out_of_pad_lanes() {
+    // n = 11 leaves five zero pad lanes in the one B panel. Non-finite A
+    // values multiply those zeros inside the tile; they must poison only
+    // their own output rows, exactly as `gemm` does.
+    let (m, k, n) = (10usize, 300, 11); // k crosses the KC = 256 reload
+    let mut a = vec![0.5f32; m * k];
+    let b = vec![0.25f32; k * n];
+    a[2 * k + 5] = f32::NAN; // row 2, first k-block
+    a[9 * k + 280] = f32::INFINITY; // row 9 (a tail tile), second k-block
+    check_panels_against_gemm(&a, &b, m, k, n);
+
+    let mut out = vec![0.0f32; m * n];
+    gemm::gemm_with_a_panels(pack_block(&a, k), &b, &mut out, m, k, n);
+    for (i, row) in out.chunks(n).enumerate() {
+        match i {
+            2 => assert!(row.iter().all(|v| v.is_nan()), "row 2 must be poisoned"),
+            9 => assert!(row.iter().all(|&v| v == f32::INFINITY), "row 9 must be +∞"),
+            _ => assert!(row.iter().all(|v| v.is_finite()), "row {i} must stay finite"),
+        }
     }
 }
 

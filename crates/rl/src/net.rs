@@ -109,12 +109,13 @@ impl Heads for JointHeads {
 /// Heads **factored over workers**: every worker reuses shared `F → 9` /
 /// `F → 2` heads applied to `relu(features[e] + worker_embed[w])`.
 ///
-/// One [`Graph::broadcast_add_rows`] pass builds the `[B·W, F]` joined
-/// rows, and both heads run as a single `[B·W, F] × [F, 11]` GEMM (weights
-/// concatenated column-wise, logits split back with [`Graph::slice_cols`])
-/// whose weight cost is independent of `W`. Worker identity enters through
-/// a learned `[W, F]` embedding table instead of dedicated head columns, so
-/// only the embedding grows with the fleet.
+/// Both heads run as one [`Graph::relu_join_matmul`]: the `[B·W, F]`
+/// joined rows are written straight into the packed panels of a single
+/// `[B·W, F] × [F, 11]` GEMM and never stored (backward recomputes them).
+/// The weights are concatenated column-wise and the logits split back with
+/// [`Graph::slice_cols`], so the weight cost is independent of `W`. Worker
+/// identity enters through a learned `[W, F]` embedding table instead of
+/// dedicated head columns, so only the embedding grows with the fleet.
 #[derive(Clone, Debug)]
 pub struct FactoredHeads {
     /// Learned per-worker identity embedding, `[W, feature_dim]`.
@@ -139,15 +140,11 @@ impl Heads for FactoredHeads {
     }
 
     fn forward(&self, g: &mut Graph, store: &ParamStore, features: NodeId) -> (NodeId, NodeId) {
-        // Join each env's features with every worker's embedding —
-        // `[B·W, F]` in env-major worker-minor order.
+        // Both heads as one `[B·W, F] × [F, 9 + 2]` GEMM over the joined
+        // rows `relu(features[e] + worker_embed[w])` (env-major,
+        // worker-minor), split after the bias add: each logit is the same
+        // ascending-F chain as in a separate head GEMM.
         let table = g.param(store, self.worker_embed);
-        let joined = g.broadcast_add_rows(features, table);
-        let joined = g.relu(joined);
-
-        // Both heads as one `[B·W, F] × [F, 9 + 2]` GEMM, split after the
-        // bias add: the joined rows are packed once, and each logit is the
-        // same ascending-F chain as in a separate head GEMM.
         let (move_w, move_b) = self.move_head.params();
         let (charge_w, charge_b) = self.charge_head.params();
         let move_w = g.param(store, move_w);
@@ -159,7 +156,7 @@ impl Heads for FactoredHeads {
         let charge_b = g.reshape(charge_b, &[1, CHARGE_CHOICES]);
         let heads_b = g.concat_cols(move_b, charge_b);
         let heads_b = g.reshape(heads_b, &[MOVES_PER_WORKER + CHARGE_CHOICES]);
-        let heads = g.matmul(joined, heads_w);
+        let heads = g.relu_join_matmul(features, table, heads_w);
         let heads = g.add_row_broadcast(heads, heads_b);
         let move_logits = g.slice_cols(heads, 0, MOVES_PER_WORKER);
         let charge_logits = g.slice_cols(heads, MOVES_PER_WORKER, CHARGE_CHOICES);

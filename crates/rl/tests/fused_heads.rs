@@ -1,8 +1,9 @@
 //! The fleet net's fused head GEMM against a two-`Linear` reference.
 //!
-//! `FleetActorCritic::forward` joins trunk features and worker embeddings
-//! with `broadcast_add_rows`, runs the move and charge heads as one
-//! `[B·W, F] × [F, 11]` GEMM and splits the logits with `slice_cols`. The
+//! `FleetActorCritic::forward` runs the move and charge heads as one
+//! `relu_join_matmul`: the trunk features joined with the worker
+//! embeddings, ReLU applied, times the `[F, 11]` concatenated head weights,
+//! with the `[B·W, F]` join never stored; `slice_cols` splits the logits. The
 //! reference below rebuilds the layout it replaced — a gather-based join
 //! and two separate `x·W + b` heads — on the same trunk features.
 //!
