@@ -293,7 +293,7 @@ fn bench_conv_case(
     let ns = time_ns_reps(iters, reps, || {
         std::hint::black_box(conv2d_backward(
             std::hint::black_box(&gout),
-            &f.cols,
+            &f.padded,
             &wt,
             x.shape(),
             &cfg,

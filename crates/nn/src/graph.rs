@@ -507,7 +507,7 @@ impl Graph {
     pub fn conv2d(&mut self, x: NodeId, w: NodeId, b: NodeId, cfg: ConvCfg) -> NodeId {
         let f = conv2d_forward(self.value(x), self.value(w), self.value(b), &cfg);
         let ng = self.any_needs_grad(&[x, w, b]);
-        self.push(f.output, &[x, w, b], Op::Conv2d { cfg, cols: f.cols }, None, ng)
+        self.push(f.output, &[x, w, b], Op::Conv2d { cfg, padded: f.padded }, None, ng)
     }
 
     /// Layer norm over the trailing dimension of `x:[rows, feat]`.
@@ -802,7 +802,7 @@ impl Graph {
                     }
                     send(&mut grads, p, gp);
                 }
-                Op::Conv2d { cfg, cols } => {
+                Op::Conv2d { cfg, padded } => {
                     let x = node.parents[0];
                     let w = node.parents[1];
                     let b = node.parents[2];
@@ -812,7 +812,7 @@ impl Graph {
                         let xs = self.value(x).shape();
                         send(&mut grads, x, conv2d_input_grad(&gout, self.value(w), xs, cfg));
                     }
-                    let (gw, gb) = conv2d_weight_grads(&gout, cols, cfg);
+                    let (gw, gb) = conv2d_weight_grads(&gout, padded, cfg);
                     send(&mut grads, w, gw);
                     send(&mut grads, b, gb);
                 }
@@ -1179,7 +1179,7 @@ mod tests {
 
         let f = crate::ops::conv::conv2d_forward(&x0, &w0, store.value(bid), &cfg);
         let gout = Tensor::ones(f.output.shape());
-        let want = crate::ops::conv::conv2d_backward(&gout, &f.cols, &w0, x0.shape(), &cfg);
+        let want = crate::ops::conv::conv2d_backward(&gout, &f.padded, &w0, x0.shape(), &cfg);
         assert_eq!(store.grad(wid).data(), want.gw.data());
         assert_eq!(store.grad(bid).data(), want.gb.data());
         assert_eq!(g.grad_of(loss, x).expect("input gradient").data(), want.gx.data());

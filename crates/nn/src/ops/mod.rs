@@ -2,7 +2,7 @@
 //! functions so they can be unit-tested and benchmarked independently of the
 //! autograd graph.
 
-/// 2-D convolution via im2col.
+/// 2-D convolution as a direct gather-tile kernel.
 pub mod conv;
 /// Blocked GEMM kernels and the kernel threading knob.
 pub mod gemm;
