@@ -12,8 +12,8 @@
 //!   oracle (Kuhn–Munkres over the worker × PoI distance matrix), the cost
 //!   optimum every other per-slot assignment is audited against;
 //! * [`sweep::SweepScheduler`] — a deterministic O(W) serpentine patrol,
-//!   the action source for fleet-scale benchmarks where lookahead
-//!   schedulers would dominate the measured step cost.
+//!   the action source for fleet-scale runs where lookahead schedulers
+//!   would dominate the step cost.
 //!
 //! The remaining comparator, **DPPO** (Heess et al.), shares its entire
 //! machinery with DRL-CEWS minus curiosity and sparse rewards; it is

@@ -1,4 +1,4 @@
-//! A deterministic O(W) patrol scheduler for fleet-scale benchmarking.
+//! A deterministic O(W) patrol scheduler for fleet-scale runs.
 //!
 //! Every lookahead baseline ([`crate::greedy::GreedyScheduler`], D&C) costs
 //! `O(W · moves · P)` per slot in `potential_collection` calls, which at
@@ -7,9 +7,9 @@
 //! from its index — east on even phases, west on odd, with periodic
 //! northward shifts and a charge request whenever the battery dips below a
 //! quarter — touching only the worker's own columnar state. That makes it
-//! the action source for `bench_kernels`' `env_step` fleet records and the
-//! fleet smoke rollouts: deterministic, allocation-light, and cheap enough
-//! that the step kernel dominates the measurement.
+//! the action source for the 1000-worker rollouts in `tests/fleet_scale.rs`:
+//! deterministic, allocation-light, and cheap enough that the step kernel
+//! dominates the run.
 
 use crate::scheduler::Scheduler;
 use rand::rngs::StdRng;

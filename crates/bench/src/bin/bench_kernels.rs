@@ -1,8 +1,19 @@
-//! Kernel & episode benchmark trajectory: times the dense-kernel hot path
-//! (naive vs blocked GEMM, whole-batch conv forward/backward, and the paper
-//! trunk's three convs at batch 1, 100 and 250) and one real
-//! training episode, then appends a run record to `BENCH_kernels.json` so
-//! the perf history accumulates commit over commit.
+//! Kernel benchmark ladders with an in-run gate. Times the dense-kernel
+//! hot path (naive vs blocked GEMM, with thread ladders through the
+//! persistent pool, and the paper trunk's three convs at batch 1, 100 and
+//! 250), appends a run record to `BENCH_kernels.json`, then gates the run
+//! against itself: `matmul_blocked 256x256x256` on one thread
+//! must reach at least [`MIN_BLOCKED_SPEEDUP`]× the GFLOP/s of
+//! `matmul_naive` at the same shape, both timed in this process on this
+//! host. Otherwise the run prints both numbers and exits non-zero, as it
+//! does when either record is missing. No record is compared against a
+//! number from another run or from the committed file, which is history
+//! only.
+//!
+//! End-to-end paths are timed by `perfbench/` instead: `train_paper`
+//! gates the training episode (rollout, PPO update, chief barrier) and
+//! `fleet_w1000` the 1000-worker fleet slot (factored-head sampling and
+//! the struct-of-arrays step).
 //!
 //! Usage:
 //!
@@ -10,9 +21,10 @@
 //! cargo run --release -p vc-bench --bin bench_kernels [-- --smoke] [--out PATH]
 //! ```
 //!
-//! `--smoke` runs each target for a couple of iterations — enough to
-//! validate the pipeline and the emitted JSON schema without meaningful
-//! statistics (used by `cargo xtask bench --smoke` and CI).
+//! `--smoke` runs the conv ladder for a couple of iterations — enough to
+//! validate the pipeline and the emitted JSON schema (used by
+//! `cargo xtask bench --smoke` and CI). The matmuls, which the gate reads,
+//! run at full iteration count in both modes.
 //!
 //! Each run record is `{schema_version, mode, unix_time_s, target_features,
 //! simd_kernel, results: [...]}` with one result per `(op, shape,
@@ -24,16 +36,21 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)] // a broken bench fixture should abort loudly
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::Value;
 use std::time::Instant;
-use vc_bench::{bench_trainer, chief_stress_trainer};
-use vc_env::prelude::*;
 use vc_nn::ops::conv::{conv2d_backward, conv2d_forward};
 use vc_nn::ops::gemm;
 use vc_nn::prelude::*;
-use vc_rl::prelude::*;
+
+/// The gated shape: the blocked kernel's headline square GEMM.
+const GATE_SHAPE: &str = "256x256x256";
+
+/// Least GFLOP/s ratio of `matmul_blocked` (one thread) over
+/// `matmul_naive` at [`GATE_SHAPE`] within one run. Both kernel flavors
+/// clear it on a 2-vCPU x86-64 host (3.0–3.9× with the AVX2 tile, 2.4–2.8×
+/// with `set_force_scalar(true)`); a `gemm` that lost its blocking reads
+/// about 1×.
+const MIN_BLOCKED_SPEEDUP: f64 = 2.0;
 
 /// One timed benchmark case.
 struct Rec {
@@ -46,28 +63,52 @@ struct Rec {
 }
 
 impl Rec {
-    fn to_value(&self) -> Value {
-        let gflops = if self.ns_per_iter > 0.0 && self.flops > 0.0 {
+    fn gflops(&self) -> f64 {
+        if self.ns_per_iter > 0.0 && self.flops > 0.0 {
             self.flops / self.ns_per_iter
         } else {
             0.0
-        };
+        }
+    }
+
+    fn to_value(&self) -> Value {
         Value::Map(vec![
             ("op".into(), Value::Str(self.op.into())),
             ("shape".into(), Value::Str(self.shape.clone())),
             ("threads".into(), Value::UInt(self.threads as u64)),
             ("iters".into(), Value::UInt(self.iters)),
             ("ns_per_iter".into(), Value::Float(self.ns_per_iter)),
-            ("gflops".into(), Value::Float(gflops)),
+            ("gflops".into(), Value::Float(self.gflops())),
         ])
+    }
+}
+
+/// The in-run gate: returns the GFLOP/s ratio of `matmul_blocked` on one
+/// thread over `matmul_naive` at [`GATE_SHAPE`], or why the run fails —
+/// a ratio under [`MIN_BLOCKED_SPEEDUP`], or a missing record.
+fn gemm_gate(recs: &[Rec]) -> Result<f64, String> {
+    let find = |op: &str| {
+        recs.iter()
+            .find(|r| r.op == op && r.shape == GATE_SHAPE && r.threads == 1)
+            .ok_or_else(|| format!("run has no `{op} {GATE_SHAPE} t1` record"))
+    };
+    let naive = find("matmul_naive")?.gflops();
+    let blocked = find("matmul_blocked")?.gflops();
+    let ratio = blocked / naive;
+    if ratio >= MIN_BLOCKED_SPEEDUP {
+        Ok(ratio)
+    } else {
+        Err(format!(
+            "matmul_blocked {GATE_SHAPE} t1 {blocked:.2} GFLOP/s is {ratio:.2}x \
+             matmul_naive's {naive:.2} GFLOP/s, under {MIN_BLOCKED_SPEEDUP:.1}x"
+        ))
     }
 }
 
 /// Times `f` after one warm-up pass: runs `reps` batches of `iters`
 /// iterations and reports the fastest batch's ns/iter. Minimum-of-batches
 /// filters scheduler noise, which on a shared box otherwise dominates
-/// sub-millisecond kernels and makes the trajectory (and the smoke
-/// regression gate reading it) flap.
+/// sub-millisecond kernels.
 fn time_ns_reps(iters: u64, reps: u32, mut f: impl FnMut()) -> f64 {
     f();
     let mut best = f64::INFINITY;
@@ -81,11 +122,6 @@ fn time_ns_reps(iters: u64, reps: u32, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Single-batch timing for the expensive end-to-end records.
-fn time_ns(iters: u64, f: impl FnMut()) -> f64 {
-    time_ns_reps(iters, 1, f)
-}
-
 /// Deterministic pseudo-random fill (no RNG state shared with training).
 fn lcg_fill(seed: u32, len: usize) -> Vec<f32> {
     let mut s = seed.wrapping_mul(2654435761).wrapping_add(1);
@@ -97,9 +133,11 @@ fn lcg_fill(seed: u32, len: usize) -> Vec<f32> {
         .collect()
 }
 
-fn bench_matmuls(iters: u64, out: &mut Vec<Rec>) {
+fn bench_matmuls(out: &mut Vec<Rec>) {
     /// Timed batches per record; the fastest batch is reported.
     const REPS: u32 = 5;
+    /// Iterations per batch for the shapes at or above `PAR_THRESHOLD`.
+    const ITERS: u64 = 20;
     // The last two are the network's own shapes: the batch-of-one `fc`
     // layer (the small-M route) and the 1000-worker fleet head.
     let shapes: &[(usize, usize, usize)] =
@@ -112,9 +150,9 @@ fn bench_matmuls(iters: u64, out: &mut Vec<Rec>) {
         let shape = format!("{m}x{k}x{n}");
         // Sub-threshold shapes finish in ~10 µs; scale their batches up so
         // one batch is milliseconds, not microseconds, of work.
-        let iters = if m * k * n < gemm::PAR_THRESHOLD { iters * 40 } else { iters };
+        let iters = if m * k * n < gemm::PAR_THRESHOLD { ITERS * 40 } else { ITERS };
         if (m, k, n) == (256, 256, 256) {
-            // The baseline the blocked kernel is measured against.
+            // The baseline the blocked kernel is gated against.
             let ns = time_ns_reps(iters, REPS, || {
                 gemm::matmul_naive(
                     std::hint::black_box(&a),
@@ -168,97 +206,6 @@ fn bench_matmuls(iters: u64, out: &mut Vec<Rec>) {
     }
 }
 
-/// Times one environment step's worth of policy inference, sequentially
-/// (`E` batch-of-one forwards) and batched (one `[E, C, H, W]` forward).
-fn bench_rollout_step(iters: u64, out: &mut Vec<Rec>) {
-    let env_cfg = EnvConfig::tiny();
-    let envs: Vec<CrowdsensingEnv> =
-        (0..8).map(|_| CrowdsensingEnv::new(env_cfg.clone())).collect();
-    let mut rng = StdRng::seed_from_u64(11);
-    let mut store = ParamStore::new();
-    let net = ActorCritic::new(
-        &mut store,
-        NetConfig::for_scenario(env_cfg.grid, env_cfg.num_workers),
-        &mut rng,
-    );
-    let opts = PolicyOptions::default();
-    let shape = format!("envs{}", envs.len());
-
-    let ns = time_ns(iters, || {
-        for env in &envs {
-            std::hint::black_box(sample_action(&net, &store, env, opts, &mut rng));
-        }
-    });
-    out.push(Rec {
-        op: "rollout_step_seq",
-        shape: shape.clone(),
-        threads: gemm::kernel_threads(),
-        iters,
-        ns_per_iter: ns,
-        flops: 0.0,
-    });
-
-    let refs: Vec<&CrowdsensingEnv> = envs.iter().collect();
-    let ns = time_ns(iters, || {
-        std::hint::black_box(sample_actions_batched(&net, &store, &refs, opts, &mut rng));
-    });
-    out.push(Rec {
-        op: "rollout_step_batched",
-        shape,
-        threads: gemm::kernel_threads(),
-        iters,
-        ns_per_iter: ns,
-        flops: 0.0,
-    });
-}
-
-/// Times one PPO gradient computation over a synthetic rollout buffer — the
-/// whole-update hot path: minibatch assembly, batched forward, surrogate
-/// loss, backward.
-fn bench_ppo_update(iters: u64, out: &mut Vec<Rec>) {
-    let env_cfg = EnvConfig::tiny();
-    let env = CrowdsensingEnv::new(env_cfg.clone());
-    let mut rng = StdRng::seed_from_u64(13);
-    let mut store = ParamStore::new();
-    let net = ActorCritic::new(
-        &mut store,
-        NetConfig::for_scenario(env_cfg.grid, env_cfg.num_workers),
-        &mut rng,
-    );
-    let w = env_cfg.num_workers;
-    let state_len = vc_env::state::encode(&env).len();
-    let ppo = PpoConfig::default();
-    let mut buffer = RolloutBuffer::new();
-    let steps = 32usize;
-    for i in 0..steps {
-        buffer.push(Transition {
-            state: lcg_fill(100 + i as u32, state_len),
-            moves: (0..w).map(|j| (i + j) % MOVES_PER_WORKER).collect(),
-            charges: (0..w).map(|j| (i + j) % CHARGE_CHOICES).collect(),
-            move_mask: vec![true; w * MOVES_PER_WORKER],
-            charge_mask: vec![true; w * CHARGE_CHOICES],
-            logp: -2.0,
-            reward: (i as f32 * 0.7).sin(),
-            value: 0.0,
-        });
-    }
-    finish_rollout(&mut buffer, &ppo, 0.0);
-    let indices: Vec<usize> = (0..steps).collect();
-
-    let ns = time_ns(iters, || {
-        store.zero_grads();
-        std::hint::black_box(compute_ppo_grads(&net, &mut store, &buffer, &indices, &ppo));
-    });
-    out.push(Rec {
-        op: "ppo_update",
-        shape: format!("batch{steps} workers{w}"),
-        threads: gemm::kernel_threads(),
-        iters,
-        ns_per_iter: ns,
-        flops: 0.0,
-    });
-}
-
 /// Times `conv2d_forward` and a full `conv2d_backward` (input, weight and
 /// bias gradients) of one layer on an `[bsz, C_in, side, side]` input.
 fn bench_conv_case(
@@ -305,14 +252,8 @@ fn bench_conv_case(
         threads: gemm::kernel_threads(),
         iters,
         ns_per_iter: ns,
-        flops: 2.0 * flops, // two whole-batch GEMMs of forward volume
+        flops: 2.0 * flops, // the weight and input gradients, each of forward volume
     });
-}
-
-fn bench_conv(iters: u64, out: &mut Vec<Rec>) {
-    // The paper's CNN encoder front: [B=32, 3, 16, 16], 3→16 channels, 3x3.
-    let cfg = ConvCfg { in_channels: 3, out_channels: 16, kernel: 3, stride: 1, padding: 1 };
-    bench_conv_case(cfg, 32, 16, "b32c3->16 16x16k3".into(), (iters, 1), out);
 }
 
 /// The paper trunk's three convs (Section V-B) on the paper grid at a
@@ -349,156 +290,6 @@ fn bench_conv_ladder(smoke: bool, out: &mut Vec<Rec>) {
             bench_conv_case(cfg, bsz, side, shape, timing, out);
         }
     }
-}
-
-fn bench_episode(iters: u64, out: &mut Vec<Rec>) {
-    let mut trainer = bench_trainer(2, 16);
-    let ns = time_ns(iters, || {
-        trainer.train_episode().expect("bench episode failed");
-    });
-    out.push(Rec {
-        op: "train_episode",
-        shape: "employees2 minibatch16".into(),
-        threads: 2,
-        iters,
-        ns_per_iter: ns,
-        flops: 0.0,
-    });
-}
-
-/// Times one environment step (greedy decide + step) per scenario family:
-/// the default paper-style grid against the obstacle-dense maze and the
-/// recharge-scarce map. The three records separate "the simulator got
-/// slower" from "a family's geometry makes stepping slower" (collision
-/// segment tests scale with obstacle count, so the maze is the stress row).
-fn bench_env_step(iters: u64, out: &mut Vec<Rec>) {
-    use vc_baselines::prelude::*;
-    use vc_env::scenario_gen::generate;
-    /// Timed batches per record; the fastest batch is reported.
-    const REPS: u32 = 5;
-    let families = [
-        ScenarioFamily::DefaultGrid,
-        ScenarioFamily::CityBlockMaze,
-        ScenarioFamily::RechargeScarce,
-    ];
-    for family in families {
-        let scn = generate(family, 7).expect("bench scenario generation failed");
-        let mut env = scn.try_env().expect("bench scenario instantiation failed");
-        let workers = env.workers().len();
-        let obstacles = env.config().obstacles.len();
-        let mut sched = GreedyScheduler;
-        let mut rng = StdRng::seed_from_u64(7);
-        let ns = time_ns_reps(iters, REPS, || {
-            if env.done() {
-                env.reset();
-            }
-            let actions = sched.decide(&env, &mut rng);
-            env.step(std::hint::black_box(&actions));
-        });
-        out.push(Rec {
-            op: "env_step",
-            shape: format!("{} w{workers} obs{obstacles}", family.name()),
-            threads: 1,
-            iters,
-            ns_per_iter: ns,
-            flops: 0.0,
-        });
-    }
-}
-
-/// Times the struct-of-arrays fleet path. The `env_step` worker ladder
-/// (10 → 100 → 1000 workers on an otherwise identical 160×160 map with
-/// 20 000 PoIs) isolates how columnar stepping scales with fleet size
-/// alone: a slot has no O(P) fixed cost, so it grows with the workers'
-/// own phase-A and PoI-drain work. Actions come from the O(W)
-/// [`SweepScheduler`] so the decide cost stays negligible next to the
-/// step being measured — a lookahead baseline would cost O(W·moves·P)
-/// and drown the signal. The `fleet_rollout` record closes the loop: one
-/// factored-head policy forward ([`FleetActorCritic`]) plus one fleet step
-/// at 1000 workers.
-fn bench_fleet(iters: u64, rollout_iters: u64, out: &mut Vec<Rec>) {
-    use vc_baselines::prelude::*;
-    /// Timed batches per record; the fastest batch is reported.
-    const REPS: u32 = 5;
-    let mega = |workers: usize| {
-        let mut cfg = EnvConfig::paper_default();
-        cfg.size_x = 160.0;
-        cfg.size_y = 160.0;
-        cfg.grid = 16;
-        cfg.num_workers = workers;
-        cfg.num_pois = 20_000;
-        cfg.num_stations = 64;
-        cfg.horizon = 1_000_000; // episodes never end mid-measurement
-        cfg.obstacles.clear();
-        cfg.poi_distribution = PoiDistribution::Uniform;
-        cfg.seed = 2020;
-        cfg
-    };
-    for workers in [10usize, 100, 1000] {
-        let mut env = CrowdsensingEnv::new(mega(workers));
-        let mut sched = SweepScheduler::new();
-        let mut rng = StdRng::seed_from_u64(7);
-        let ns = time_ns_reps(iters, REPS, || {
-            if env.done() {
-                env.reset();
-            }
-            let actions = sched.decide(&env, &mut rng);
-            env.step(std::hint::black_box(&actions));
-        });
-        out.push(Rec {
-            op: "env_step",
-            shape: format!("fleet w{workers} pois20000"),
-            threads: 1,
-            iters,
-            ns_per_iter: ns,
-            flops: 0.0,
-        });
-    }
-    let mut env = CrowdsensingEnv::new(mega(1000));
-    let mut rng = StdRng::seed_from_u64(11);
-    let mut store = ParamStore::new();
-    let net = FleetActorCritic::new(
-        &mut store,
-        NetConfig::for_scenario(env.config().grid, env.config().num_workers),
-        &mut rng,
-    );
-    let opts = PolicyOptions::default();
-    let ns = time_ns_reps(rollout_iters, REPS, || {
-        if env.done() {
-            env.reset();
-        }
-        let sampled = sample_action(&net, &store, &env, opts, &mut rng);
-        env.step(std::hint::black_box(&sampled.actions));
-    });
-    out.push(Rec {
-        op: "fleet_rollout",
-        shape: "fleet w1000 pois20000".into(),
-        threads: gemm::kernel_threads(),
-        iters: rollout_iters,
-        ns_per_iter: ns,
-        flops: 0.0,
-    });
-}
-
-/// Times the telemetry-off chief stress loop: 16 employees × `rounds`
-/// gather rounds on a small map. This is the acceptance substrate for the
-/// "disabled telemetry costs ≤ 2%" budget — the instrumented broadcast /
-/// gather / apply path runs at full round rate with a `Telemetry::off`
-/// handle, so regressions in the disabled-path overhead show up here.
-fn bench_chief_stress(iters: u64, rounds: usize, out: &mut Vec<Rec>) {
-    let employees = 16usize;
-    let mut trainer = chief_stress_trainer(employees, rounds);
-    let ns = time_ns(iters, || {
-        trainer.train_episode().expect("chief stress episode failed");
-    });
-    out.push(Rec {
-        op: "chief_stress",
-        shape: format!("employees{employees} rounds{rounds}"),
-        threads: employees,
-        iters,
-        ns_per_iter: ns,
-        flops: 0.0,
-    });
 }
 
 /// Comma-separated list of the CPU features the GEMM kernels care about,
@@ -587,37 +378,21 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .cloned()
         .unwrap_or_else(|| "BENCH_kernels.json".to_owned());
-    let iters: u64 = if smoke { 2 } else { 20 };
 
     let mut recs = Vec::new();
-    // Matmuls always run at full iteration count — they are cheap, and the
-    // smoke run's GFLOP/s feed the `xtask bench --smoke` regression gate,
-    // which needs statistically meaningful numbers.
-    bench_matmuls(20, &mut recs);
-    bench_conv(iters, &mut recs);
+    bench_matmuls(&mut recs);
     bench_conv_ladder(smoke, &mut recs);
-    bench_rollout_step(if smoke { 2 } else { 10 }, &mut recs);
-    bench_ppo_update(if smoke { 1 } else { 5 }, &mut recs);
-    bench_episode(if smoke { 1 } else { 3 }, &mut recs);
-    bench_env_step(if smoke { 50 } else { 2000 }, &mut recs);
-    bench_fleet(if smoke { 20 } else { 500 }, if smoke { 2 } else { 10 }, &mut recs);
-    bench_chief_stress(1, if smoke { 5 } else { 50 }, &mut recs);
 
     println!("{:<16} {:>24} {:>8} {:>14} {:>10}", "op", "shape", "threads", "ns/iter", "GFLOP/s");
     for r in &recs {
-        let gflops =
-            if r.ns_per_iter > 0.0 && r.flops > 0.0 { r.flops / r.ns_per_iter } else { 0.0 };
         println!(
             "{:<16} {:>24} {:>8} {:>14.0} {:>10.2}",
-            r.op, r.shape, r.threads, r.ns_per_iter, gflops
+            r.op,
+            r.shape,
+            r.threads,
+            r.ns_per_iter,
+            r.gflops()
         );
-    }
-    let naive = recs.iter().find(|r| r.op == "matmul_naive");
-    let blocked = recs
-        .iter()
-        .find(|r| r.op == "matmul_blocked" && r.shape == "256x256x256" && r.threads == 1);
-    if let (Some(nv), Some(bl)) = (naive, blocked) {
-        println!("speedup matmul 256x256x256 (1 thread): {:.2}x", nv.ns_per_iter / bl.ns_per_iter);
     }
 
     // Append this run to the trajectory (tolerating a missing or corrupt
@@ -656,5 +431,51 @@ fn main() {
             eprintln!("bench_kernels: schema validation failed: {e}");
             std::process::exit(1);
         }
+    }
+
+    match gemm_gate(&recs) {
+        Ok(ratio) => println!(
+            "gate ok: matmul_blocked {GATE_SHAPE} t1 is {ratio:.2}x matmul_naive \
+             (floor {MIN_BLOCKED_SPEEDUP:.1}x)"
+        ),
+        Err(e) => {
+            eprintln!("bench_kernels: gate FAIL: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A record at the gated shape whose GFLOP/s is `gflops`.
+    fn rec(op: &'static str, threads: usize, gflops: f64) -> Rec {
+        let flops = 2.0 * 256f64.powi(3);
+        Rec { op, shape: GATE_SHAPE.into(), threads, iters: 20, ns_per_iter: flops / gflops, flops }
+    }
+
+    #[test]
+    fn gate_passes_a_blocked_kernel_at_three_and_a_half_times_naive() {
+        let run = [rec("matmul_naive", 1, 10.0), rec("matmul_blocked", 1, 35.0)];
+        let ratio = gemm_gate(&run).unwrap();
+        assert!((ratio - 3.5).abs() < 1e-9, "ratio {ratio}");
+    }
+
+    #[test]
+    fn gate_fails_a_blocked_kernel_at_one_and_a_half_times_naive() {
+        let run = [rec("matmul_naive", 1, 10.0), rec("matmul_blocked", 1, 15.0)];
+        let err = gemm_gate(&run).unwrap_err();
+        assert!(err.contains("15.00") && err.contains("10.00"), "{err}");
+    }
+
+    #[test]
+    fn gate_fails_a_run_missing_either_gated_record() {
+        let no_naive = [rec("matmul_blocked", 1, 35.0), rec("matmul_blocked", 2, 60.0)];
+        assert!(gemm_gate(&no_naive).unwrap_err().contains("matmul_naive"));
+        // A blocked record at another thread count does not stand in for t1.
+        let no_blocked_t1 = [rec("matmul_naive", 1, 10.0), rec("matmul_blocked", 2, 60.0)];
+        assert!(gemm_gate(&no_blocked_t1).unwrap_err().contains("matmul_blocked"));
+        assert!(gemm_gate(&[]).is_err());
     }
 }

@@ -144,12 +144,6 @@ pub fn force_scalar() -> bool {
     FORCE_SCALAR.load(Ordering::Relaxed) // ordering: test knob (see setter)
 }
 
-/// Whether this build carries the AVX2/FMA micro-kernel at all (false on
-/// non-x86 targets and under Miri/loom, where the scalar fallback runs).
-pub fn simd_kernel_compiled() -> bool {
-    simd::compiled()
-}
-
 /// Whether the next [`gemm`] dispatch will use the SIMD tile: compiled in
 /// and not overridden by [`set_force_scalar`]. Benchmarks record this next
 /// to the detected target features.

@@ -126,12 +126,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning the underlying buffer (the shape
-    /// buffer is recycled into the arena).
-    pub fn into_data(mut self) -> Vec<f32> {
-        std::mem::take(&mut self.data)
-    }
-
     /// The single element of a one-element tensor. Panics otherwise.
     pub fn item(&self) -> f32 {
         assert_eq!(self.numel(), 1, "item() on tensor of shape {:?}", self.shape);
@@ -165,13 +159,6 @@ impl Tensor {
         let mut data = arena::take_f32(self.data.len());
         data.extend(self.data.iter().map(|&x| f(x)));
         Tensor { shape: arena::take_usize_copy(&self.shape), data }
-    }
-
-    /// In-place elementwise map.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
     }
 
     /// Elementwise binary combination with a same-shape tensor.

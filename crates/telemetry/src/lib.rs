@@ -325,12 +325,6 @@ pub struct Span {
 impl Span {
     /// Ends the span now, recording its duration; equivalent to dropping.
     pub fn finish(self) {}
-
-    /// Seconds elapsed since the span started.
-    #[must_use]
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
 }
 
 impl Drop for Span {
