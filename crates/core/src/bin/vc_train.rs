@@ -38,8 +38,8 @@
 //!   3). Writes are atomic (tmp file + fsync + rename).
 //! * `--resume PATH` rebuilds the trainer from a v2 checkpoint — including
 //!   its embedded config, so the other training flags are ignored — and
-//!   continues toward `--episodes` total episodes bit-exactly (for
-//!   curiosity-free configs).
+//!   continues toward `--episodes` total episodes bit-exactly (for every
+//!   curiosity model but `count`, whose visit counts are not checkpointed).
 //! * `--inject SPEC` scripts a deterministic fault for testing recovery:
 //!   `panic:J@K` (employee J panics at update round K), `stall:J@K:D`
 //!   (stalls for D rounds), `nan:J@K` (emits NaN gradients). Repeatable.

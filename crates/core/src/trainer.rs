@@ -426,6 +426,8 @@ pub struct Trainer {
     rounds: u64,
     history: Vec<EpisodeStats>,
     last_ppo_stats: PpoStats,
+    /// The last gather round; kept so its gradient vectors are reused.
+    report: RoundReport,
     telemetry: Telemetry,
 }
 
@@ -525,6 +527,7 @@ impl Trainer {
             rounds: 0,
             history: Vec::new(),
             last_ppo_stats: PpoStats::default(),
+            report: RoundReport::default(),
             telemetry,
         })
     }
@@ -533,8 +536,9 @@ impl Trainer {
     /// [`Self::checkpoint_v2`]: the embedded JSON config reconstructs the
     /// trainer, then parameters, optimizer moments, per-employee RNG
     /// streams and counters are restored, continuing the run bit-exactly
-    /// (guaranteed for curiosity-free configs; curiosity models with
-    /// unserialized internal state resume approximately).
+    /// for every curiosity model except [`CuriosityChoice::Count`], whose
+    /// per-employee visit counts are not checkpointed (a resumed count run
+    /// restarts them from zero).
     ///
     /// # Errors
     ///
@@ -700,13 +704,14 @@ impl Trainer {
         for _k in 0..self.cfg.ppo.epochs {
             let round = self.rounds;
             let gather_timer = tel_on.then(Instant::now);
-            let report = self.executor.gather_grads()?;
+            self.executor.gather_grads_into(&mut self.report)?;
             let gather_ms = gather_timer.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3);
             self.rounds += 1;
+            let report = &self.report;
             if report.contributors == 0 {
                 // Every warm employee died or was quarantined this round;
                 // there is no gradient to apply.
-                self.emit_round_event(round, gather_ms, 0.0, 0.0, sync_ms, &report);
+                self.emit_round_event(round, gather_ms, 0.0, 0.0, sync_ms, report);
                 continue;
             }
             self.last_ppo_stats = report.stats;
@@ -714,17 +719,13 @@ impl Trainer {
             // Average over the employees that actually contributed so the
             // step size is independent of (surviving) M.
             let m = report.contributors as f32;
-            self.store.zero_grads();
-            let scaled: Vec<f32> = report.ppo.iter().map(|g| g / m).collect();
-            self.store.add_flat_grads(&scaled);
+            self.store.load_flat_grads_mean(&report.ppo, m);
             self.store.clip_grad_norm(self.cfg.ppo.max_grad_norm);
             self.ppo_opt.step(&mut self.store);
 
             if !report.curiosity.is_empty() {
                 let cstore = self.curiosity.params_mut();
-                cstore.zero_grads();
-                let cscaled: Vec<f32> = report.curiosity.iter().map(|g| g / m).collect();
-                cstore.add_flat_grads(&cscaled);
+                cstore.load_flat_grads_mean(&report.curiosity, m);
                 cstore.clip_grad_norm(self.cfg.ppo.max_grad_norm);
                 self.curiosity_opt.step(cstore);
             }
@@ -737,7 +738,7 @@ impl Trainer {
                     .histogram("trainer_apply_seconds", &vc_telemetry::SPAN_SECONDS_BOUNDS)
                     .observe(apply_ms / 1e3);
             }
-            self.emit_round_event(round, gather_ms, apply_ms, broadcast_ms, sync_ms, &report);
+            self.emit_round_event(round, gather_ms, apply_ms, broadcast_ms, sync_ms, &self.report);
         }
         self.episodes += 1;
         let mean = EpisodeStats::mean(&rollout.stats);

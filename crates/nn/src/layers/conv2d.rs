@@ -111,7 +111,7 @@ mod tests {
                 first = lv;
             }
             last = lv;
-            store.for_each_trainable(|v, gr| v.add_scaled(gr, -0.1));
+            store.for_each_trainable(|_, v, gr| v.add_scaled(gr, -0.1));
         }
         assert!(last < first / 10.0, "loss {first} -> {last}");
     }

@@ -102,7 +102,7 @@ mod tests {
         let sq = g.square(node);
         let loss = g.sum_all(sq);
         g.backward(loss, &mut store);
-        store.for_each_trainable(|v, gr| v.add_scaled(gr, -0.1));
+        store.for_each_trainable(|_, v, gr| v.add_scaled(gr, -0.1));
         assert_eq!(emb.table(&store), &before);
     }
 

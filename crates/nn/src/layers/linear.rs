@@ -120,7 +120,7 @@ mod tests {
             let sq = g.square(d);
             let loss = g.mean_all(sq);
             g.backward(loss, &mut store);
-            store.for_each_trainable(|v, gr| v.add_scaled(gr, -0.3));
+            store.for_each_trainable(|_, v, gr| v.add_scaled(gr, -0.3));
         }
         let (w, b) = layer.params();
         assert!((store.value(w).data()[0] - 2.0).abs() < 0.05, "w={:?}", store.value(w));

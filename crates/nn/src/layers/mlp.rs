@@ -130,7 +130,7 @@ mod tests {
             let sq = g.square(d);
             let loss = g.mean_all(sq);
             last = g.backward(loss, &mut store);
-            store.for_each_trainable(|v, gr| v.add_scaled(gr, -1.0));
+            store.for_each_trainable(|_, v, gr| v.add_scaled(gr, -1.0));
         }
         assert!(last < 0.02, "XOR loss stuck at {last}");
     }

@@ -12,7 +12,7 @@
 //! * [`param::ParamStore`] — parameter + gradient storage with the flat
 //!   buffer views used by the chief–employee gradient exchange;
 //! * [`layers`] — Linear, Conv2d, LayerNorm, Embedding, Mlp;
-//! * [`optim`] — SGD and Adam;
+//! * [`optim`] — Adam and learning-rate schedules;
 //! * [`serialize`] — binary checkpoints.
 //!
 //! ## Quick example
@@ -77,7 +77,7 @@ pub mod prelude {
         set_kernel_telemetry, set_kernel_threads, KernelCounters,
     };
     pub use crate::ops::pool::{pool_stats, PoolStats};
-    pub use crate::optim::{Adam, LrSchedule, Optimizer, Sgd};
+    pub use crate::optim::{Adam, LrSchedule, Optimizer};
     pub use crate::param::{ParamId, ParamStore};
     pub use crate::serialize::{
         load_checkpoint_v2, save_checkpoint_v2, write_checkpoint_file, AdamState, CheckpointError,

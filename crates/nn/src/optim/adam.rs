@@ -3,17 +3,30 @@
 
 use super::Optimizer;
 use crate::param::ParamStore;
-use crate::tensor::Tensor;
 
 /// Adam with bias-corrected first/second moment estimates.
+///
+/// The moments are two flat buffers in the store's registration order,
+/// frozen parameters included (their entries stay zero), so they are the
+/// checkpoint's `n×f32 m, n×f32 v` as they stand.
+///
+/// A moment whose magnitude falls below `f32::MIN_POSITIVE` is stored as
+/// `0.0`. A gradient entry that is exactly zero round after round decays
+/// its first moment by `β₁` into the subnormal range, where round-to-nearest
+/// holds it at one to four units of `2⁻¹⁴⁹` for good, and every later
+/// step would pay a microcode assist on that lane. The flush changes a
+/// moment only where the gradient is below about `1e-30` in magnitude,
+/// and a parameter only where the parameter itself is tiny (DESIGN.md
+/// §10). It is done per element, not with the thread-global FTZ/DAZ
+/// flags, which would change every other kernel on the calling thread.
 pub struct Adam {
     lr: f32,
     beta1: f32,
     beta2: f32,
     eps: f32,
     t: u64,
-    m: Vec<Tensor>,
-    v: Vec<Tensor>,
+    m: Vec<f32>,
+    v: Vec<f32>,
 }
 
 impl Adam {
@@ -33,19 +46,18 @@ impl Adam {
         self.t
     }
 
-    /// Flattens the first/second moment estimates for checkpointing, in
+    /// Copies of the first/second moment estimates for checkpointing, in
     /// parameter-registration order. Both vectors are empty before the
     /// first [`Optimizer::step`] (moments are lazily allocated).
     pub fn flat_moments(&self) -> (Vec<f32>, Vec<f32>) {
-        let flatten =
-            |ts: &[Tensor]| ts.iter().flat_map(|t| t.data().iter().copied()).collect::<Vec<f32>>();
-        (flatten(&self.m), flatten(&self.v))
+        (self.m.clone(), self.v.clone())
     }
 
     /// Restores the optimizer state captured by [`Self::steps`] and
-    /// [`Self::flat_moments`], shaping the moment tensors against `store`
-    /// (which must be the store this optimizer steps). Empty moment slices
-    /// reset to the pre-first-step lazy state.
+    /// [`Self::flat_moments`] for `store` (which must be the store this
+    /// optimizer steps). Empty moment slices reset to the pre-first-step
+    /// lazy state. Moments are taken as given; subnormal ones from a
+    /// checkpoint written before the flush are flushed by the next step.
     ///
     /// # Errors
     ///
@@ -58,33 +70,16 @@ impl Adam {
         m_flat: &[f32],
         v_flat: &[f32],
     ) -> Result<(), MomentLengthMismatch> {
-        if m_flat.is_empty() && v_flat.is_empty() {
-            self.t = t;
-            self.m.clear();
-            self.v.clear();
-            return Ok(());
-        }
-        let expected = store.num_scalars();
+        let expected = if m_flat.is_empty() && v_flat.is_empty() { 0 } else { store.num_scalars() };
         if m_flat.len() != expected || v_flat.len() != expected {
             return Err(MomentLengthMismatch {
                 expected,
                 got: if m_flat.len() != expected { m_flat.len() } else { v_flat.len() },
             });
         }
-        let unflatten = |flat: &[f32]| {
-            let mut out = Vec::new();
-            let mut off = 0;
-            for id in store.ids() {
-                let shape = store.value(id).shape().to_vec();
-                let n = store.value(id).data().len();
-                out.push(Tensor::from_vec(&shape, flat[off..off + n].to_vec()));
-                off += n;
-            }
-            out
-        };
         self.t = t;
-        self.m = unflatten(m_flat);
-        self.v = unflatten(v_flat);
+        self.m = m_flat.to_vec();
+        self.v = v_flat.to_vec();
         Ok(())
     }
 }
@@ -114,33 +109,31 @@ impl std::error::Error for MomentLengthMismatch {}
 impl Optimizer for Adam {
     fn step(&mut self, store: &mut ParamStore) {
         if self.m.is_empty() {
-            for id in store.ids().collect::<Vec<_>>() {
-                self.m.push(Tensor::zeros(store.value(id).shape()));
-                self.v.push(Tensor::zeros(store.value(id).shape()));
-            }
+            let n = store.num_scalars();
+            self.m = vec![0.0; n];
+            self.v = vec![0.0; n];
         }
         self.t += 1;
         let bc1 = 1.0 - self.beta1.powi(self.t as i32);
         let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        let ids: Vec<_> = store.ids().collect();
-        for (i, &id) in ids.iter().enumerate() {
-            if store.is_frozen(id) {
-                continue;
+        let (lr, beta1, beta2, eps) = (self.lr, self.beta1, self.beta2, self.eps);
+        let (m, v) = (&mut self.m, &mut self.v);
+        store.for_each_trainable(|offset, value, grad| {
+            let n = grad.numel();
+            let lanes = value
+                .data_mut()
+                .iter_mut()
+                .zip(&mut m[offset..offset + n])
+                .zip(&mut v[offset..offset + n])
+                .zip(grad.data());
+            for (((pj, mj), vj), &gj) in lanes {
+                *mj = flush_subnormal(beta1 * *mj + (1.0 - beta1) * gj);
+                *vj = flush_subnormal(beta2 * *vj + (1.0 - beta2) * gj * gj);
+                let mhat = *mj / bc1;
+                let vhat = *vj / bc2;
+                *pj -= lr * mhat / (vhat.sqrt() + eps);
             }
-            let g = store.grad(id).clone();
-            let m = &mut self.m[i];
-            let v = &mut self.v[i];
-            for ((mj, vj), &gj) in m.data_mut().iter_mut().zip(v.data_mut()).zip(g.data()) {
-                *mj = self.beta1 * *mj + (1.0 - self.beta1) * gj;
-                *vj = self.beta2 * *vj + (1.0 - self.beta2) * gj * gj;
-            }
-            let value = store.value_mut(id);
-            for ((pj, &mj), &vj) in value.data_mut().iter_mut().zip(m.data()).zip(v.data()) {
-                let mhat = mj / bc1;
-                let vhat = vj / bc2;
-                *pj -= self.lr * mhat / (vhat.sqrt() + self.eps);
-            }
-        }
+        });
     }
 
     fn learning_rate(&self) -> f32 {
@@ -152,10 +145,21 @@ impl Optimizer for Adam {
     }
 }
 
+/// `x`, or `0.0` when `|x| < f32::MIN_POSITIVE` (NaN and ±∞ pass through).
+#[inline(always)]
+fn flush_subnormal(x: f32) -> f32 {
+    if x.abs() < f32::MIN_POSITIVE {
+        0.0
+    } else {
+        x
+    }
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::tensor::Tensor;
 
     /// Minimize f(w) = (w - target)² from a given start.
     fn minimize(lr: f32, start: f32, target: f32, iters: usize) -> f32 {
@@ -206,22 +210,23 @@ mod tests {
         // f(w) = 0.5 (1000 w0^2 + w1^2): per-coordinate scaling is exactly
         // what Adam's second moment fixes and plain SGD cannot (a stable SGD
         // lr for w0 crawls on w1).
-        use crate::optim::Sgd;
-        fn run(opt: &mut dyn Optimizer, iters: usize) -> f32 {
+        fn run(step: &mut dyn FnMut(&mut ParamStore), iters: usize) -> f32 {
             let mut store = ParamStore::new();
             let w = store.add("w", Tensor::from_vec(&[2], vec![1.0, 1.0]));
             for _ in 0..iters {
                 store.zero_grads();
                 let v = store.value(w).data().to_vec();
                 store.accumulate_grad(w, &Tensor::from_vec(&[2], vec![1000.0 * v[0], v[1]]));
-                opt.step(&mut store);
+                step(&mut store);
             }
             let v = store.value(w).data();
             0.5 * (1000.0 * v[0] * v[0] + v[1] * v[1])
         }
         // Largest stable SGD lr is ~1/1000; Adam normalizes per coordinate.
-        let sgd_loss = run(&mut Sgd::new(1e-3), 300);
-        let adam_loss = run(&mut Adam::new(0.05), 300);
+        let mut sgd = |s: &mut ParamStore| s.for_each_trainable(|_, v, g| v.add_scaled(g, -1e-3));
+        let sgd_loss = run(&mut sgd, 300);
+        let mut adam = Adam::new(0.05);
+        let adam_loss = run(&mut |s: &mut ParamStore| adam.step(s), 300);
         assert!(
             adam_loss < sgd_loss / 10.0,
             "Adam {adam_loss} should dominate SGD {sgd_loss} here"

@@ -2,11 +2,9 @@
 
 mod adam;
 mod schedule;
-mod sgd;
 
 pub use adam::{Adam, MomentLengthMismatch};
 pub use schedule::LrSchedule;
-pub use sgd::Sgd;
 
 use crate::param::ParamStore;
 

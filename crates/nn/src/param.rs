@@ -141,13 +141,17 @@ impl ParamStore {
         (0..self.params.len()).map(ParamId)
     }
 
-    /// Applies `f(value, grad)` to every trainable parameter (copying a
-    /// value first if a graph still shares it).
-    pub fn for_each_trainable(&mut self, mut f: impl FnMut(&mut Tensor, &Tensor)) {
+    /// Applies `f(offset, value, grad)` to every trainable parameter, where
+    /// `offset` is the parameter's first index in the flat layout of
+    /// [`Self::flat_grads`] (copying a value first if a graph still shares
+    /// it).
+    pub fn for_each_trainable(&mut self, mut f: impl FnMut(usize, &mut Tensor, &Tensor)) {
+        let mut offset = 0;
         for p in &mut self.params {
             if !p.frozen {
-                f(Arc::make_mut(&mut p.value), &p.grad);
+                f(offset, Arc::make_mut(&mut p.value), &p.grad);
             }
+            offset += p.grad.numel();
         }
     }
 
@@ -162,15 +166,17 @@ impl ParamStore {
         out
     }
 
-    /// Adds a flat gradient buffer (as produced by [`Self::flat_grads`] on a
-    /// store with identical layout) into this store's gradient slots.
-    pub fn add_flat_grads(&mut self, flat: &[f32]) {
-        assert_eq!(flat.len(), self.num_scalars(), "flat gradient length mismatch");
+    /// Overwrites every gradient slot with `sum / count`, element by
+    /// element, from a flat buffer with the layout of [`Self::flat_grads`]:
+    /// the chief's mean of the summed employee gradients. A quotient of
+    /// `-0.0` is stored as `+0.0`, as zeroing the slot and adding it would.
+    pub fn load_flat_grads_mean(&mut self, sum: &[f32], count: f32) {
+        assert_eq!(sum.len(), self.num_scalars(), "flat gradient length mismatch");
         let mut offset = 0;
         for p in &mut self.params {
             let n = p.grad.numel();
-            for (g, &d) in p.grad.data_mut().iter_mut().zip(&flat[offset..offset + n]) {
-                *g += d;
+            for (g, &s) in p.grad.data_mut().iter_mut().zip(&sum[offset..offset + n]) {
+                *g = 0.0 + s / count;
             }
             offset += n;
         }
@@ -283,9 +289,12 @@ mod tests {
         assert_eq!(flat, vec![1.0, 2.0, 3.0, 4.0, 5.0]);
 
         let (mut s2, _, _) = store_with_two();
-        s2.add_flat_grads(&flat);
-        s2.add_flat_grads(&flat);
-        assert_eq!(s2.flat_grads(), vec![2.0, 4.0, 6.0, 8.0, 10.0]);
+        s2.accumulate_grad(ParamId(0), &Tensor::from_vec(&[2], vec![9.0, 9.0]));
+        s2.load_flat_grads_mean(&flat, 2.0);
+        assert_eq!(s2.flat_grads(), vec![0.5, 1.0, 1.5, 2.0, 2.5]);
+        // A -0.0 mean lands as +0.0, the bits of zeroing and then adding.
+        s2.load_flat_grads_mean(&[-0.0, 0.0, 1.0, 1.0, 1.0], 2.0);
+        assert_eq!(s2.grad(ParamId(0)).data()[0].to_bits(), 0.0f32.to_bits());
     }
 
     #[test]
@@ -312,8 +321,8 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "length mismatch")]
-    fn add_flat_grads_wrong_len_panics() {
+    fn load_flat_grads_mean_wrong_len_panics() {
         let (mut s, _, _) = store_with_two();
-        s.add_flat_grads(&[1.0, 2.0]);
+        s.load_flat_grads_mean(&[1.0, 2.0], 1.0);
     }
 }

@@ -359,7 +359,8 @@ pub trait Employee: Send + 'static {
 
 /// A flat-gradient accumulator — the "PPO gradient buffer" / "curiosity
 /// gradient buffer" of Fig. 1. Employees ship gradients over the reply
-/// channel; only the chief thread touches the buffers.
+/// channel; only the chief thread touches the buffers. The sum's
+/// allocation is reused from round to round.
 #[derive(Debug, Default)]
 pub struct GradientBuffer {
     sum: Vec<f32>,
@@ -374,12 +375,14 @@ impl GradientBuffer {
 
     /// Adds one employee's flat gradient.
     ///
-    /// The first contribution after a [`Self::take`] fixes the expected
-    /// length; later contributions of a different length are rejected with
-    /// [`ChiefError::GradientLengthMismatch`] and leave the buffer unchanged.
+    /// The first contribution after a [`Self::take_into`] fixes the
+    /// expected length; later contributions of a different length are
+    /// rejected with [`ChiefError::GradientLengthMismatch`] and leave the
+    /// buffer unchanged.
     pub fn accumulate(&mut self, grads: &[f32]) -> Result<(), ChiefError> {
-        if self.sum.is_empty() {
-            self.sum = grads.to_vec();
+        if self.contributions == 0 {
+            self.sum.clear();
+            self.sum.extend_from_slice(grads);
         } else {
             if self.sum.len() != grads.len() {
                 return Err(ChiefError::GradientLengthMismatch {
@@ -395,16 +398,20 @@ impl GradientBuffer {
         Ok(())
     }
 
-    /// Number of gradients accumulated since the last [`Self::take`].
+    /// Number of gradients accumulated since the last [`Self::take_into`].
     pub fn contributions(&self) -> usize {
         self.contributions
     }
 
-    /// Drains the buffer, returning the summed gradient (empty if nothing
-    /// was accumulated).
-    pub fn take(&mut self) -> Vec<f32> {
+    /// Drains the buffer: swaps the summed gradient (empty if nothing was
+    /// accumulated) into `out`, and keeps `out`'s former allocation as the
+    /// buffer for the next round.
+    pub fn take_into(&mut self, out: &mut Vec<f32>) {
+        if self.contributions == 0 {
+            self.sum.clear();
+        }
+        std::mem::swap(&mut self.sum, out);
         self.contributions = 0;
-        std::mem::take(&mut self.sum)
     }
 }
 
@@ -999,12 +1006,30 @@ impl ChiefExecutor {
     /// replaced. Either way the buffers are drained, so a failed round
     /// never poisons the next one.
     pub fn gather_grads(&mut self) -> Result<RoundReport, ChiefError> {
+        let mut report = RoundReport::default();
+        self.gather_grads_into(&mut report)?;
+        Ok(report)
+    }
+
+    /// [`Self::gather_grads`] into a caller-kept report, whose two
+    /// gradient vectors trade allocations with the gradient buffers, so a
+    /// chief that keeps one report allocates no gradient memory per round.
+    /// On error the report holds a partial round.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Self::gather_grads`].
+    pub fn gather_grads_into(&mut self, report: &mut RoundReport) -> Result<(), ChiefError> {
         let timer = self.tel().map(|_| Instant::now());
         let round = self.round;
         self.round += 1;
         let mut pending = self.send_phase(|| Cmd::ComputeGrads { round }, true);
         let deadline = self.cfg.round_timeout.map(|t| Instant::now() + t);
-        let mut report = RoundReport::default();
+        *report = RoundReport {
+            ppo: std::mem::take(&mut report.ppo),
+            curiosity: std::mem::take(&mut report.curiosity),
+            ..RoundReport::default()
+        };
         let mut stats_sum = crate::ppo::PpoStats::default();
         let mut first_err: Option<ChiefError> = None;
         while pending.iter().any(|&p| p) {
@@ -1100,14 +1125,14 @@ impl ChiefExecutor {
                 approx_kl: stats_sum.approx_kl / n,
             };
         }
-        report.ppo = self.ppo_buffer.take();
-        report.curiosity = self.curiosity_buffer.take();
+        self.ppo_buffer.take_into(&mut report.ppo);
+        self.curiosity_buffer.take_into(&mut report.curiosity);
         if let (Some(t), Some(start)) = (self.tel(), timer) {
             t.rounds.inc();
             t.failures.add(report.failed.len() as u64);
             t.gather_seconds.observe(start.elapsed().as_secs_f64());
         }
-        Ok(report)
+        Ok(())
     }
 
     /// Collects every employee's RNG stream state (for durable
@@ -1186,8 +1211,8 @@ impl ChiefExecutor {
     /// Clears both gradient buffers after a failed round so stale partial
     /// sums can't leak into the next round.
     fn drain_buffers(&mut self) {
-        let _ = self.ppo_buffer.take();
-        let _ = self.curiosity_buffer.take();
+        self.ppo_buffer.take_into(&mut Vec::new());
+        self.curiosity_buffer.take_into(&mut Vec::new());
     }
 }
 
@@ -1327,9 +1352,33 @@ mod tests {
         buf.accumulate(&[1.0, 2.0]).unwrap();
         buf.accumulate(&[0.5, -1.0]).unwrap();
         assert_eq!(buf.contributions(), 2);
-        assert_eq!(buf.take(), vec![1.5, 1.0]);
+        let mut out = vec![9.0; 3];
+        buf.take_into(&mut out);
+        assert_eq!(out, vec![1.5, 1.0]);
         assert_eq!(buf.contributions(), 0);
-        assert!(buf.take().is_empty());
+        buf.take_into(&mut out);
+        assert!(out.is_empty());
+        // The next round sums afresh into the recycled allocation.
+        buf.accumulate(&[4.0]).unwrap();
+        buf.take_into(&mut out);
+        assert_eq!(out, vec![4.0]);
+    }
+
+    #[test]
+    fn gradient_buffer_and_report_trade_two_allocations_across_rounds() {
+        let mut buf = GradientBuffer::new();
+        let mut out = Vec::new();
+        let mut ptrs = Vec::new();
+        for _ in 0..4 {
+            buf.accumulate(&[1.0, 2.0, 3.0]).unwrap();
+            buf.accumulate(&[1.0, 1.0, 1.0]).unwrap();
+            buf.take_into(&mut out);
+            assert_eq!(out, vec![2.0, 3.0, 4.0]);
+            ptrs.push(out.as_ptr());
+        }
+        // Rounds 0 and 1 allocate; from round 2 on, the sum is built in
+        // the allocation the report handed back.
+        assert_eq!((ptrs[2], ptrs[3]), (ptrs[0], ptrs[1]));
     }
 
     #[test]
@@ -1340,7 +1389,9 @@ mod tests {
         assert_eq!(err, ChiefError::GradientLengthMismatch { expected: 2, got: 1 });
         // The failed contribution must not count or corrupt the sum.
         assert_eq!(buf.contributions(), 1);
-        assert_eq!(buf.take(), vec![1.0, 2.0]);
+        let mut out = Vec::new();
+        buf.take_into(&mut out);
+        assert_eq!(out, vec![1.0, 2.0]);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! The headline guarantee of the fault-tolerance work: a run killed at
 //! episode `k` and resumed from its v2 checkpoint must produce parameters
 //! bit-identical to the uninterrupted run — Adam moments, per-employee RNG
-//! streams, and episode/round counters all travel in the checkpoint.
+//! streams, and episode/round counters all travel in the checkpoint. It
+//! holds for every curiosity model except `CuriosityChoice::Count`, whose
+//! per-employee visit counts are in no checkpoint.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -18,8 +20,8 @@ fn env() -> EnvConfig {
     cfg
 }
 
-/// Bit-exact resume is guaranteed for curiosity-free configs (curiosity
-/// models hold internal state the checkpoint does not serialize).
+/// A curiosity-free config; the curiosity models are checked in
+/// `resume_with_curiosity_matches_uninterrupted_run_bit_exactly`.
 fn cfg(employees: usize) -> TrainerConfig {
     let mut c = TrainerConfig::drl_cews(env()).quick();
     c.num_employees = employees;
@@ -52,6 +54,42 @@ fn resume_matches_uninterrupted_run_bit_exactly() {
         a.store().flat_values(),
         "resumed parameters must be bit-identical to the uninterrupted run"
     );
+}
+
+#[test]
+fn resume_with_curiosity_matches_uninterrupted_run_bit_exactly() {
+    // The same 3 + 3 against 6 episodes for each curiosity model whose
+    // whole state is its parameters and its Adam moments.
+    for curiosity in [
+        CuriosityChoice::paper_spatial(),
+        CuriosityChoice::Rnd { eta: 0.3 },
+        CuriosityChoice::Icm { eta: 0.3 },
+    ] {
+        let label = curiosity.label();
+        let mut c = cfg(2);
+        c.curiosity = curiosity;
+        let mut a = Trainer::new(c.clone()).unwrap();
+        a.train(6).unwrap();
+
+        let mut b = Trainer::new(c).unwrap();
+        b.train(3).unwrap();
+        let ckpt = b.checkpoint_v2().unwrap();
+        drop(b);
+        let mut b2 = Trainer::resume_from(&ckpt).unwrap();
+        b2.train(3).unwrap();
+
+        assert_eq!(b2.rounds_trained(), a.rounds_trained(), "{label}");
+        assert_eq!(b2.store().flat_values(), a.store().flat_values(), "{label}: policy");
+        assert_eq!(
+            b2.curiosity().params().flat_values(),
+            a.curiosity().params().flat_values(),
+            "{label}: curiosity parameters"
+        );
+        assert!(
+            b2.checkpoint_v2().unwrap() == a.checkpoint_v2().unwrap(),
+            "{label}: the final checkpoints differ"
+        );
+    }
 }
 
 #[test]
