@@ -606,12 +606,16 @@ impl Trainer {
     }
 
     fn broadcast(&mut self) -> Result<(), ChiefError> {
-        let cur = if self.curiosity_store_len == 0 {
-            Vec::new()
-        } else {
-            self.curiosity.params().flat_values()
-        };
-        self.executor.broadcast_params(self.store.flat_values(), cur)
+        let (store, curiosity) = (&self.store, &self.curiosity);
+        let with_curiosity = self.curiosity_store_len != 0;
+        self.executor.broadcast_params_with(|ppo, cur| {
+            store.flat_values_into(ppo);
+            if with_curiosity {
+                curiosity.params().flat_values_into(cur);
+            } else {
+                cur.clear();
+            }
+        })
     }
 
     /// Writes one `"round"` line to the telemetry JSONL sink (the

@@ -131,7 +131,7 @@ impl Drop for Graph {
                 Op::PickColumn { indices } | Op::GatherRows { indices } => {
                     arena::put_usize(indices);
                 }
-                Op::LayerNorm { ctx } => {
+                Op::LayerNorm { ctx, .. } => {
                     arena::put_f32(ctx.mean);
                     arena::put_f32(ctx.rstd);
                 }
@@ -510,11 +510,28 @@ impl Graph {
         self.push(f.output, &[x, w, b], Op::Conv2d { cfg, padded: f.padded }, None, ng)
     }
 
-    /// Layer norm over the trailing dimension of `x:[rows, feat]`.
+    /// Layer norm over each item's trailing features of `x:[B, ...]`.
     pub fn layer_norm(&mut self, x: NodeId, gamma: NodeId, beta: NodeId, eps: f32) -> NodeId {
-        let (v, ctx) = layer_norm_forward(self.value(x), self.value(gamma), self.value(beta), eps);
+        self.layer_norm_op(x, gamma, beta, eps, false)
+    }
+
+    /// `relu(layer_norm(x))` as one node: the same op with its ReLU on.
+    pub fn layer_norm_relu(&mut self, x: NodeId, gamma: NodeId, beta: NodeId, eps: f32) -> NodeId {
+        self.layer_norm_op(x, gamma, beta, eps, true)
+    }
+
+    fn layer_norm_op(
+        &mut self,
+        x: NodeId,
+        gamma: NodeId,
+        beta: NodeId,
+        eps: f32,
+        relu: bool,
+    ) -> NodeId {
+        let (v, ctx) =
+            layer_norm_forward(self.value(x), self.value(gamma), self.value(beta), eps, relu);
         let ng = self.any_needs_grad(&[x, gamma, beta]);
-        self.push(v, &[x, gamma, beta], Op::LayerNorm { ctx }, None, ng)
+        self.push(v, &[x, gamma, beta], Op::LayerNorm { ctx, relu }, None, ng)
     }
 
     // ---- backward -----------------------------------------------------------
@@ -807,7 +824,7 @@ impl Graph {
                     let w = node.parents[1];
                     let b = node.parents[2];
                     // The state leaf feeding the first conv needs no
-                    // gradient: skip its GEMM and col2im outright.
+                    // gradient: skip its input-gradient kernel outright.
                     if relevant(x) {
                         let xs = self.value(x).shape();
                         send(&mut grads, x, conv2d_input_grad(&gout, self.value(w), xs, cfg));
@@ -816,11 +833,12 @@ impl Graph {
                     send(&mut grads, w, gw);
                     send(&mut grads, b, gb);
                 }
-                Op::LayerNorm { ctx } => {
+                Op::LayerNorm { ctx, relu } => {
                     let x = node.parents[0];
                     let gamma = node.parents[1];
                     let beta = node.parents[2];
-                    let g = layer_norm_backward(&gout, self.value(x), self.value(gamma), ctx);
+                    let out = relu.then_some(&*node.value);
+                    let g = layer_norm_backward(&gout, self.value(x), self.value(gamma), ctx, out);
                     send(&mut grads, x, g.gx);
                     send(&mut grads, gamma, g.ggamma);
                     send(&mut grads, beta, g.gbeta);

@@ -5,7 +5,8 @@ use crate::param::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
-/// Layer normalization over the trailing dimension of `[rows, feat]`.
+/// Layer normalization over each item's trailing `feat` floats of a
+/// `[B, ...]` input: `[B, feat]` rows or `[B, C, H, W]` conv outputs alike.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct LayerNormLayer {
     gamma: ParamId,
@@ -22,12 +23,25 @@ impl LayerNormLayer {
         Self { gamma, beta, feat, eps: 1e-5 }
     }
 
-    /// Applies layer norm to a `[rows, feat]` node.
+    /// Applies layer norm to a `[B, ...]` node.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
-        assert_eq!(g.shape(x)[1], self.feat, "LayerNorm feature width mismatch");
+        self.check(g, x);
         let gamma = g.param(store, self.gamma);
         let beta = g.param(store, self.beta);
         g.layer_norm(x, gamma, beta, self.eps)
+    }
+
+    /// Applies `relu(layer_norm(x))` to a `[B, ...]` node, as one op.
+    pub fn forward_relu(&self, g: &mut Graph, store: &ParamStore, x: NodeId) -> NodeId {
+        self.check(g, x);
+        let gamma = g.param(store, self.gamma);
+        let beta = g.param(store, self.beta);
+        g.layer_norm_relu(x, gamma, beta, self.eps)
+    }
+
+    fn check(&self, g: &Graph, x: NodeId) {
+        let item: usize = g.shape(x).iter().skip(1).product();
+        assert_eq!(item, self.feat, "LayerNorm feature width mismatch");
     }
 
     /// Feature width.

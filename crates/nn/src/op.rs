@@ -103,10 +103,14 @@ pub enum Op {
         /// weight-gradient kernel gathers its taps from it.
         padded: Tensor,
     },
-    /// Layer norm over the trailing dimension; saves per-row statistics.
+    /// Layer norm over each item's trailing features, then `max(·, 0)`
+    /// when `relu` is set; saves per-row statistics.
     LayerNorm {
         /// Saved per-row statistics for the backward pass.
         ctx: LayerNormCtx,
+        /// Whether the output is `relu(norm)`; backward then masks the
+        /// upstream gradient by `output > 0`.
+        relu: bool,
     },
 }
 

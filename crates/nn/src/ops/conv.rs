@@ -23,8 +23,13 @@
 //! * `dW` — the roles swap: rows are taps, `k` runs over the whole batch's
 //!   pixels in `KC`-pixel blocks with a reload in between, and the lanes
 //!   are `C_out` over the pixel-major `goutᵀ`;
-//! * `dX` — `dcolsT = goutᵀ · W` through [`gemm::gemm`], then a
-//!   gather-form col2im that writes each input gradient element once.
+//! * `dX` — straight from `gout` and `W`, with no column gradient: rows
+//!   are input pixels, grouped into classes that read the same taps
+//!   (border rows and columns, and for stride 2 the parity classes), so a
+//!   register tile of pixels shares one tap list. For each tap, `k` runs
+//!   over `C_out` and the lanes are `C_in`
+//!   (`simd::tap_sum_tile`); each tap's chain is added into
+//!   the pixel's sum, which is stored once, NCHW.
 //!
 //! The zero-bordered input is the saved operand of
 //! [`crate::op::Op::Conv2d`]. [`conv2d_backward`] is `conv2d_weight_grads`
@@ -35,7 +40,8 @@
 //!
 //! ## Geometry
 //!
-//! The offset lists and the col2im tap table depend only on `(cfg, H, W)`.
+//! The offset lists and the input gradient's tap classes depend only on
+//! `(cfg, H, W)`.
 //! Each thread builds them once per shape and keeps them in a small cache,
 //! so the kernels are straight table-driven loops with no per-element
 //! border test, and steady-state calls allocate nothing. Padding taps read
@@ -51,13 +57,18 @@
 //! * `dW` — one ascending-pixel chain per weight. `fma` commutes in its two
 //!   factors and the k-blocks reload rather than reassociate, so the
 //!   row/column swap changes nothing;
-//! * `dcolsT` — one ascending-`C_out` chain per entry; each input element
-//!   then sums its taps in ascending `(ky, kx)` from `+0.0`;
+//! * `dX` — per valid tap, one ascending-`C_out` chain from zero, the entry
+//!   a column gradient `goutᵀ · W` would hold; each input element adds
+//!   them in ascending `(ky, kx)` into a sum started at `+0.0`, as col2im
+//!   summed the stored entries. Only valid taps are visited: a tap in the
+//!   padding is not in the sum, so no `0·∞` can enter it;
 //! * `gb` — a sequential sum in ascending `(b, oy, ox)`.
 //!
 //! These are the chains the blocked GEMM computes on a materialised
 //! column matrix. Every thread count and both micro-kernel flavors give the
-//! same bits. Scratch comes from [`crate::arena`].
+//! same bits. Scratch comes from [`crate::arena`]. The input gradient
+//! still tallies the `[B·HO·WO, C_out]·[C_out, C_in·K²]` product of that
+//! lowering, so the kernel counters read the same.
 
 use crate::arena;
 use crate::ops::gemm;
@@ -116,11 +127,20 @@ struct Geometry {
     /// `pixel_off[n]`: base of output pixel `n = (oy, ox)` within one
     /// zero-bordered item.
     pixel_off: Vec<usize>,
-    /// The column-matrix entries (`n·patch + q`, within one item) that read
-    /// input element `e` are `taps[tap_start[e]..tap_start[e + 1]]`, in
-    /// ascending `(ky, kx)`.
-    tap_start: Vec<u32>,
-    taps: Vec<u32>,
+    /// The input pixels grouped by the taps that read them, for the input
+    /// gradient.
+    classes: Vec<TapClass>,
+}
+
+/// The input pixels of one item whose valid taps are the same `(ky, kx)`
+/// list. Along a tap list the output pixel `oy·WO + ox` strictly falls, so
+/// each pixel's last tap reads its smallest one, the pixel's anchor.
+struct TapClass {
+    /// `(ky·K + kx, off)` in ascending `(ky, kx)`: the tap and its output
+    /// pixel's offset from the anchor.
+    taps: Vec<(usize, usize)>,
+    /// `(anchor, iy·W + ix)` per pixel, in ascending `(iy, ix)`.
+    pixels: Vec<(usize, usize)>,
 }
 
 impl Geometry {
@@ -128,10 +148,6 @@ impl Geometry {
         let (c, k, s, p) = (cfg.in_channels, cfg.kernel, cfg.stride, cfg.padding);
         let (hp, wp) = (h + 2 * p, w + 2 * p);
         let patch = cfg.patch();
-        let idx = |v: usize| {
-            assert!(u32::try_from(v).is_ok(), "conv geometry index {v} exceeds u32");
-            v as u32
-        };
 
         let mut tap_off = Vec::with_capacity(patch);
         for ci in 0..c {
@@ -149,24 +165,28 @@ impl Geometry {
             let d = ip.checked_sub(kk)?;
             (d % s == 0 && d / s < out).then_some(d / s)
         };
-        let mut tap_start = Vec::with_capacity(c * h * w + 1);
-        let mut taps = Vec::with_capacity(ho * wo * patch);
-        tap_start.push(0);
-        for ci in 0..c {
-            for iy in 0..h {
-                for ix in 0..w {
-                    for ky in 0..k {
-                        let Some(oy) = source(iy + p, ky, ho) else { continue };
-                        for kx in 0..k {
-                            let Some(ox) = source(ix + p, kx, wo) else { continue };
-                            taps.push(idx((oy * wo + ox) * patch + (ci * k + ky) * k + kx));
-                        }
+        let mut classes: Vec<TapClass> = Vec::new();
+        let mut taps = Vec::with_capacity(k * k);
+        for iy in 0..h {
+            for ix in 0..w {
+                taps.clear();
+                for ky in 0..k {
+                    let Some(oy) = source(iy + p, ky, ho) else { continue };
+                    for kx in 0..k {
+                        let Some(ox) = source(ix + p, kx, wo) else { continue };
+                        taps.push((ky * k + kx, oy * wo + ox));
                     }
-                    tap_start.push(idx(taps.len()));
+                }
+                let anchor = taps.last().map_or(0, |&(_, n)| n);
+                let rel = taps.iter().map(|&(q, n)| (q, n - anchor));
+                let pixel = (anchor, iy * w + ix);
+                match classes.iter_mut().find(|c| c.taps.iter().copied().eq(rel.clone())) {
+                    Some(class) => class.pixels.push(pixel),
+                    None => classes.push(TapClass { taps: rel.collect(), pixels: vec![pixel] }),
                 }
             }
         }
-        Self { cfg: *cfg, h, w, ho, wo, tap_off, pixel_off, tap_start, taps }
+        Self { cfg: *cfg, h, w, ho, wo, tap_off, pixel_off, classes }
     }
 
     /// Floats in one zero-bordered item.
@@ -239,18 +259,6 @@ fn pad(x: &[f32], geo: &Geometry) -> Vec<f32> {
         }
     }
     padded
-}
-
-/// Sums each input element's taps of `dcolsT: [B·HO·WO, C_in·K·K]`, giving
-/// the input gradient `[B, C_in, H, W]` appended to the empty `gx`.
-fn col2im(dcols: &[f32], geo: &Geometry, gx: &mut Vec<f32>) {
-    for item in dcols.chunks_exact(geo.ho * geo.wo * geo.cfg.patch()) {
-        gx.extend(geo.tap_start.windows(2).map(|e| {
-            geo.taps[e[0] as usize..e[1] as usize]
-                .iter()
-                .fold(0.0f32, |acc, &t| acc + item[t as usize])
-        }));
-    }
 }
 
 /// Result of a convolution forward pass: output plus the saved
@@ -424,8 +432,9 @@ pub(crate) fn conv2d_weight_grads(
     (Tensor::from_vec(&[co, cfg.in_channels, cfg.kernel, cfg.kernel], gw), gb)
 }
 
-/// Input gradient `[B, C_in, H, W]`: `dcolsT = goutᵀ · W`, then a
-/// gather-form col2im.
+/// Input gradient `[B, C_in, H, W]`, straight from `gout` and `W`: each
+/// input pixel sums, over its valid taps in ascending `(ky, kx)`, one
+/// ascending-`C_out` chain per `C_in` lane.
 pub(crate) fn conv2d_input_grad(
     gout: &Tensor,
     w: &Tensor,
@@ -434,23 +443,62 @@ pub(crate) fn conv2d_input_grad(
 ) -> Tensor {
     assert_eq!(x_shape.len(), 4, "conv input must be [B,C,H,W]");
     let geo = geometry(cfg, x_shape[2], x_shape[3]);
-    let (co, patch, ns) = (cfg.out_channels, cfg.patch(), geo.ho * geo.wo);
-    let n = x_shape[0] * ns;
-    assert_eq!(gout.numel(), n * co, "upstream gradient size");
+    let (ci, co, ns) = (cfg.in_channels, cfg.out_channels, geo.ho * geo.wo);
+    let (bsz, hw, kk) = (x_shape[0], geo.h * geo.w, cfg.kernel * cfg.kernel);
+    assert_eq!(x_shape[1], ci, "input channels mismatch");
+    assert_eq!(gout.numel(), bsz * ns * co, "upstream gradient size");
+    // The product a column-matrix lowering would run: `goutᵀ · W`.
+    gemm::tally(bsz * ns, co, cfg.patch());
 
-    // gout [B, C_out, ns] → goutT [B·ns, C_out].
-    let mut gout_t = arena::take_f32(n * co);
-    for item in gout.data().chunks_exact(co * ns) {
-        for px in 0..ns {
-            gout_t.extend((0..co).map(|ch| item[ch * ns + px]));
+    // W as zero-padded NR-wide C_in panels: panel `j` holds
+    // `w[o][j·NR + l][q]` at `(q·C_out + o)·NR + l`.
+    let panels = ci.div_ceil(NR);
+    let mut wp = arena::take_f32_zeroed(panels * kk * co * NR);
+    for (o, filter) in w.data().chunks_exact(ci * kk).enumerate() {
+        for (c, taps) in filter.chunks_exact(kk).enumerate() {
+            let base = (c / NR * kk * co + o) * NR + c % NR;
+            for (q, &v) in taps.iter().enumerate() {
+                wp[base + q * co * NR] = v;
+            }
         }
     }
-    let mut dcols = arena::take_f32_zeroed(n * patch);
-    gemm::gemm(&gout_t, w.data(), &mut dcols, n, co, patch, gemm::kernel_threads());
-    let mut gx = arena::take_f32(x_shape.iter().product());
-    col2im(&dcols, &geo, &mut gx);
-    arena::put_f32(gout_t);
-    arena::put_f32(dcols);
+
+    // Zeroed only to materialise the length: every element is stored once.
+    let mut gx = arena::take_f32_zeroed(bsz * ci * hw);
+    let mut rows = arena::take_usize(bsz * hw);
+    let mut outs = arena::take_usize(bsz * hw);
+    let use_simd = gemm::simd_kernel_active();
+    for class in &geo.classes {
+        rows.clear();
+        outs.clear();
+        for b in 0..bsz {
+            for &(anchor, at) in &class.pixels {
+                rows.push(b * co * ns + anchor);
+                outs.push(b * ci * hw + at);
+            }
+        }
+        for j in 0..panels {
+            let panel = &wp[j * kk * co * NR..(j + 1) * kk * co * NR];
+            let (nr, gx) = (NR.min(ci - j * NR), &mut gx[j * NR * hw..]);
+            let taps = &class.taps;
+            simd::tap_sum_tile(
+                gout.data(),
+                &rows,
+                taps,
+                panel,
+                co,
+                ns,
+                gx,
+                &outs,
+                hw,
+                nr,
+                use_simd,
+            );
+        }
+    }
+    arena::put_f32(wp);
+    arena::put_usize(rows);
+    arena::put_usize(outs);
     Tensor::from_vec(x_shape, gx)
 }
 
@@ -545,31 +593,36 @@ mod tests {
     }
 
     #[test]
-    fn gather_offsets_and_col2im_are_adjoint() {
+    fn gather_offsets_and_input_grad_are_adjoint() {
         // With colsT[n][q] = padded[pixel_base[n] + tap_off[q]],
-        // <colsT, y> == <x, col2im(y)> for random-ish x, y: the transpose
-        // relationship that makes the backward pass exact.
-        let c = cfg(2, 1, 3, 2, 1);
+        // <colsT·Wᵀ, g> == <x, input_grad(g, W)> for random-ish x, W, g:
+        // the transpose relationship that makes the backward pass exact.
+        let c = cfg(2, 3, 3, 2, 1);
         let (bsz, ch, h, w) = (2usize, 2usize, 5usize, 4usize);
         let geo = geometry(&c, h, w);
-        let len = bsz * geo.ho * geo.wo * c.patch();
+        let ns = geo.ho * geo.wo;
         let x: Vec<f32> = (0..bsz * ch * h * w).map(|i| (i as f32 * 0.7).sin()).collect();
-        let y: Vec<f32> = (0..len).map(|i| (i as f32 * 1.3).cos()).collect();
+        let wt: Vec<f32> = (0..3 * c.patch()).map(|i| (i as f32 * 0.3).sin()).collect();
+        let g: Vec<f32> = (0..bsz * 3 * ns).map(|i| (i as f32 * 1.3).cos()).collect();
 
         let padded = pad(&x, &geo);
-        let bases = geo.pixel_bases(bsz);
-        let cols: Vec<f32> = bases
-            .iter()
-            .flat_map(|&n| geo.tap_off.iter().map(move |&q| n + q))
-            .map(|i| padded[i])
-            .collect();
-        assert_eq!(cols.len(), len);
-        let lhs: f32 = cols.iter().zip(&y).map(|(a, b)| a * b).sum();
+        let mut lhs = 0.0f32;
+        for (n, &base) in geo.pixel_bases(bsz).iter().enumerate() {
+            let (b, px) = (n / ns, n % ns);
+            for (o, filter) in wt.chunks_exact(c.patch()).enumerate() {
+                let y: f32 =
+                    geo.tap_off.iter().zip(filter).map(|(&q, &f)| padded[base + q] * f).sum();
+                lhs += y * g[(b * 3 + o) * ns + px];
+            }
+        }
 
-        let mut gx = Vec::new();
-        col2im(&y, &geo, &mut gx);
-        assert_eq!(gx.len(), x.len());
-        let rhs: f32 = x.iter().zip(&gx).map(|(a, b)| a * b).sum();
+        let gx = conv2d_input_grad(
+            &Tensor::from_vec(&[bsz, 3, geo.ho, geo.wo], g),
+            &Tensor::from_vec(&[3, ch, 3, 3], wt),
+            &[bsz, ch, h, w],
+            &c,
+        );
+        let rhs: f32 = x.iter().zip(gx.data()).map(|(a, b)| a * b).sum();
         assert!((lhs - rhs).abs() < 1e-3, "lhs {lhs} rhs {rhs}");
     }
 

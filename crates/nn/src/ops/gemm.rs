@@ -3,9 +3,9 @@
 //! Every PPO update and curiosity forward-model step bottoms out in dense
 //! matrix multiplies — either directly ([`crate::tensor::Tensor::matmul`],
 //! the autograd `MatMul` op) or inside the convolution
-//! ([`crate::ops::conv`]), whose column-gradient product calls [`gemm`]
-//! and whose forward and weight-gradient kernels run the register tile of
-//! [`crate::ops::simd`] on gathered operands. This module owns the GEMMs:
+//! ([`crate::ops::conv`]), whose kernels run the register tiles of
+//! [`crate::ops::simd`] on gathered operands and tally their products
+//! here. This module owns the GEMMs:
 //!
 //! * [`gemm`] — `C = A·B`. Both operands are packed once into
 //!   micro-kernel-friendly layouts (see below), then the product is computed
@@ -18,9 +18,9 @@
 //!   closure writes each packed A block straight into one scratch panel
 //!   (the fleet heads' `relu(x[e] + table[w])` join is its producer);
 //! * [`gemm_nt`] / [`gemm_tn`] — `A·Bᵀ` and `Aᵀ·B`; the `MatMul` backward
-//!   uses them. `gemm_nt` transposes B into a caller-provided scratch
-//!   buffer (no per-call allocation when the caller reuses it across
-//!   steps); `gemm_tn` packs `Aᵀ` straight from `A` through
+//!   uses them. Neither transposes its operand first: `gemm_nt` packs
+//!   `Bᵀ`'s panels straight from the rows of `B`, then runs as [`gemm`];
+//!   `gemm_tn` packs `Aᵀ` straight from `A` through
 //!   [`gemm_with_a_panels`], on the calling thread;
 //! * [`matmul_naive`] — the unblocked reference kernel: the correctness
 //!   tests' ground truth, the benchmark baseline, and the route [`gemm`]
@@ -246,12 +246,40 @@ pub fn gemm(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize,
         matmul_naive(a, b, out, m, k, n);
         return;
     }
-    let threads = threads.max(1);
-    if threads <= 1 || m * n * k < PAR_THRESHOLD {
-        gemm_rows(a, b, out, k, n);
+    gemm_packing_b(a, out, m, k, n, threads, |bp| pack_b(b, k, n, bp));
+}
+
+/// The packed route of [`gemm`] and [`gemm_nt`]: `pack` writes B's packed
+/// panels into a zeroed `k · n_pad` buffer, then the product runs on the
+/// calling thread or, when large enough, across the pool.
+fn gemm_packing_b(
+    a: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    threads: usize,
+    pack: impl FnOnce(&mut [f32]),
+) {
+    if m == 0 || n == 0 {
         return;
     }
-    gemm_pooled(a, b, out, m, k, n, threads);
+    if k == 0 {
+        // Empty sum: the product is all zeros and the tile loop would
+        // never write `out`.
+        out.fill(0.0);
+        return;
+    }
+    // Zeroed: the packers rely on pad lanes reading as zero.
+    let mut bp = arena::take_f32_zeroed(k * n.div_ceil(NR) * NR);
+    pack(&mut bp);
+    let threads = threads.max(1);
+    if threads <= 1 || m * n * k < PAR_THRESHOLD {
+        gemm_rows(a, &bp, out, m, k, n);
+        arena::put_f32(bp);
+    } else {
+        gemm_pooled(a, bp, out, m, k, n, threads);
+    }
 }
 
 /// Counts one GEMM dispatch of `2·m·k·n` FLOPs when telemetry is on. The
@@ -372,7 +400,7 @@ pub fn gemm_with_a_panels(
 /// so the call completes even on a pool with zero workers.
 fn gemm_pooled(
     a: &[f32],
-    b: &[f32],
+    bp: Vec<f32>,
     out: &mut [f32],
     m: usize,
     k: usize,
@@ -382,12 +410,10 @@ fn gemm_pooled(
     pool::ensure_workers(threads - 1);
     let use_simd = simd_kernel_active();
 
-    // Zeroed: `pack_b` relies on pad lanes reading as zero, and `pack_a`
-    // overwrites every element anyway.
+    // Zeroed only to materialize the length: `pack_a` overwrites every
+    // element.
     let mut ap = arena::take_f32_zeroed(m * k);
     pack_a(a, m, k, &mut ap);
-    let mut bp = arena::take_f32_zeroed(k * n.div_ceil(NR) * NR);
-    pack_b(b, k, n, &mut bp);
     let ap = Arc::new(ap);
     let bp = Arc::new(bp);
 
@@ -471,15 +497,17 @@ fn gemm_pooled(
     }
 }
 
-/// `out = A·Bᵀ` with `A: [m,k]`, `B: [n,k]`, `out: [m,n]`. `B` is
-/// transpose-packed into `scratch` (resized as needed, reusable across
-/// calls) and the product runs through the blocked kernel, so accumulation
-/// order matches materializing `Bᵀ` and calling [`matmul_naive`].
+/// `out = A·Bᵀ` with `A: [m,k]`, `B: [n,k]`, `out: [m,n]`.
+///
+/// `Bᵀ`'s `NR`-wide panels are packed straight from `B`: panel `j` reads
+/// rows `j..j + NR` of `B`, each contiguous in `k`, so nothing is
+/// transposed first. The product then runs as [`gemm`] runs it, so the
+/// result is the bits of [`matmul_naive`] on the materialised `Bᵀ`. Below
+/// `MR` rows each output is that same chain, read straight from `B`.
 ///
 /// # Panics
 ///
-/// If a slice length disagrees with its shape.
-#[allow(clippy::too_many_arguments)] // mirrors the BLAS-style signature
+/// If a slice length disagrees with its shape, or as [`gemm`].
 pub fn gemm_nt(
     a: &[f32],
     b: &[f32],
@@ -487,12 +515,32 @@ pub fn gemm_nt(
     m: usize,
     k: usize,
     n: usize,
-    scratch: &mut Vec<f32>,
     threads: usize,
 ) {
+    assert_eq!(a.len(), m * k, "gemm_nt lhs length");
     assert_eq!(b.len(), n * k, "gemm_nt rhs length");
-    transpose_into(b, n, k, scratch);
-    gemm(a, scratch, out, m, k, n, threads);
+    assert_eq!(out.len(), m * n, "gemm_nt out length");
+    tally(m, k, n);
+    if m < MR {
+        if k == 0 || n == 0 {
+            out.fill(0.0);
+            return;
+        }
+        for (a_row, o_row) in a.chunks_exact(k).zip(out.chunks_exact_mut(n)) {
+            // `NR` columns at a time, so their chains overlap.
+            for (b_rows, o) in b.chunks(NR * k).zip(o_row.chunks_mut(NR)) {
+                let mut acc = [0.0f32; NR];
+                for (p, &av) in a_row.iter().enumerate() {
+                    for (c, b_row) in acc.iter_mut().zip(b_rows.chunks_exact(k)) {
+                        *c = av.mul_add(b_row[p], *c);
+                    }
+                }
+                o.copy_from_slice(&acc[..o.len()]);
+            }
+        }
+        return;
+    }
+    gemm_packing_b(a, out, m, k, n, threads, |bp| pack_bt(b, k, n, bp));
 }
 
 /// `out = Aᵀ·B` with `A: [k,m]`, `B: [k,n]`, `out: [m,n]`, on the calling
@@ -618,6 +666,32 @@ fn pack_b(b: &[f32], k: usize, n: usize, dst: &mut [f32]) {
     }
 }
 
+/// Packs row-major `b: [n,k]` as [`pack_b`] packs its transpose `[k,n]`:
+/// panel `[j, j + nr)` of block `kb` stores `b[j + l][kb + p]` at
+/// `n_pad·kb + kc·j + p·NR + l`. Each of a panel's `nr` rows is read
+/// contiguously. `dst` must arrive zeroed, as for [`pack_b`].
+fn pack_bt(b: &[f32], k: usize, n: usize, dst: &mut [f32]) {
+    let n_pad = n.div_ceil(NR) * NR;
+    debug_assert_eq!(dst.len(), k * n_pad);
+    let mut kb = 0;
+    while kb < k {
+        let kc = KC.min(k - kb);
+        let mut j = 0;
+        while j < n {
+            let nr = NR.min(n - j);
+            let base = n_pad * kb + kc * j;
+            let dpan = &mut dst[base..base + kc * NR];
+            for (l, row) in b[j * k..(j + nr) * k].chunks_exact(k).enumerate() {
+                for (d, &v) in dpan[l..].iter_mut().step_by(NR).zip(&row[kb..kb + kc]) {
+                    *d = v;
+                }
+            }
+            j += NR;
+        }
+        kb += kc;
+    }
+}
+
 /// Computes the output cell `rows × nc` at `(i0, j0)` of the full `m×k×n`
 /// product from packed operands `ap` / `bp` (layouts in the module docs).
 /// The cell's top-left element is `out[0]` and rows are `ldc` apart, so the
@@ -679,42 +753,26 @@ fn gemm_packed(
     }
 }
 
-/// Single-threaded packed GEMM over a full row range: `a` holds exactly the
-/// rows of `out`. Packs both operands into thread-local arena scratch, then
-/// sweeps L2-sized `NC` column panels. Prior `out` contents are ignored —
-/// the first `k`-block pass overwrites every element before any later block
+/// Single-threaded packed GEMM over a full row range, with B already
+/// packed into `bp`: packs A into thread-local arena scratch, then sweeps
+/// L2-sized `NC` column panels. Prior `out` contents are ignored — the
+/// first `k`-block pass overwrites every element before any later block
 /// reloads it, so callers need not (and do not) zero `out` first.
-fn gemm_rows(a: &[f32], b: &[f32], out: &mut [f32], k: usize, n: usize) {
-    if n == 0 {
-        return;
-    }
-    if k == 0 {
-        // Empty sum: the product is all zeros and the tile loop below would
-        // never write `out`.
-        out.fill(0.0);
-        return;
-    }
-    let m = out.len() / n;
-    if m == 0 {
-        return;
-    }
+fn gemm_rows(a: &[f32], bp: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     let use_simd = simd_kernel_active();
-    // Zeroed: `pack_b` relies on pad lanes reading as zero, and `pack_a`
-    // overwrites every element anyway.
+    // Zeroed only to materialize the length: `pack_a` overwrites every
+    // element.
     let mut ap = arena::take_f32_zeroed(m * k);
     pack_a(a, m, k, &mut ap);
-    let mut bp = arena::take_f32_zeroed(k * n.div_ceil(NR) * NR);
-    pack_b(b, k, n, &mut bp);
     let mut j0 = 0;
     while j0 < n {
         let nc = NC.min(n - j0);
         // `gemm_packed` writes cell-relative: its `out[0]` is the cell's
         // top-left element, so each panel starts at column `j0`.
-        gemm_packed(&ap, &bp, &mut out[j0..], n, m, k, n, 0, m, j0, nc, use_simd);
+        gemm_packed(&ap, bp, &mut out[j0..], n, m, k, n, 0, m, j0, nc, use_simd);
         j0 += NC;
     }
     arena::put_f32(ap);
-    arena::put_f32(bp);
 }
 
 #[cfg(test)]
@@ -845,9 +903,8 @@ mod tests {
         let at = lcg_fill(3, k * m); // A stored [k, m]
         let b = lcg_fill(4, k * n);
 
-        let mut scratch = Vec::new();
         let mut got = vec![0.0; m * n];
-        gemm_nt(&a, &bt, &mut got, m, k, n, &mut scratch, 1);
+        gemm_nt(&a, &bt, &mut got, m, k, n, 1);
         let mut b_mat = Vec::new();
         transpose_into(&bt, n, k, &mut b_mat);
         let mut want = vec![0.0; m * n];

@@ -15,6 +15,11 @@
 //! [`gemm::set_force_scalar`](crate::ops::gemm::set_force_scalar) is on)
 //! the same tile runs the scalar fallback below.
 //!
+//! Two more kernels live here for the same reason: [`tap_sum_tile`], the
+//! convolution's input gradient (per-tap `C_out` chains summed into each
+//! input pixel), and [`row_sums`], LayerNorm's row statistics eight rows
+//! at a time. Each keeps the chains of the scalar loop it stands for.
+//!
 //! ## Bit compatibility
 //!
 //! The two paths are bit-identical by construction. Each output element is
@@ -199,6 +204,166 @@ pub(crate) fn gather_tile(
     }
 }
 
+/// Computes, for every row `i < rows.len()` and lane `l < nr`,
+///
+/// ```text
+/// sum = +0.0
+/// for (q, off) in taps:                      // in the order given
+///     acc = 0
+///     for o in 0..co:
+///         acc = fma(src[rows[i] + off + o·ostride], wp[(q·co + o)·NR + l], acc)
+///     sum = sum + acc
+/// out[outs[i] + l·lstride] = sum
+/// ```
+///
+/// Each tap's chain starts from zero and is added into the row's sum in
+/// tap order, so the result is the sum of the per-tap products a GEMM
+/// would have stored, folded exactly as a gather over them would fold it.
+/// The convolution's input gradient runs it with rows = input pixels that
+/// read the same taps, `k` = `C_out` and lanes = `C_in`
+/// ([`crate::ops::conv`]). Rows run in register tiles of 8 (lanes ≤ 8) or
+/// 4; a short last tile repeats its last row and stores only its own.
+///
+/// * `wp` — one lane panel: for tap `q`, `co` steps of `NR` lanes,
+///   zero-padded beyond `nr`. Pad lanes are computed but never stored.
+/// * `use_simd` — selects the AVX2 path when it is compiled in.
+///
+/// # Panics
+///
+/// If `rows` and `outs` differ in length, `nr` is not in `1..=NR`, or an
+/// index described above falls outside `src`, `wp` or `out`.
+#[allow(clippy::too_many_arguments)] // index soup is the kernel's nature
+pub(crate) fn tap_sum_tile(
+    src: &[f32],
+    rows: &[usize],
+    taps: &[(usize, usize)],
+    wp: &[f32],
+    co: usize,
+    ostride: usize,
+    out: &mut [f32],
+    outs: &[usize],
+    lstride: usize,
+    nr: usize,
+    use_simd: bool,
+) {
+    assert_eq!(rows.len(), outs.len(), "one output offset per row");
+    assert!((1..=NR).contains(&nr), "tile width out of range");
+    let (Some(&rmax), Some(&omax)) = (rows.iter().max(), outs.iter().max()) else { return };
+    assert!(
+        omax.checked_add((nr - 1) * lstride).is_some_and(|end| end < out.len()),
+        "output offset {omax} outside an output of {}",
+        out.len()
+    );
+    for &(q, off) in taps {
+        assert!((q + 1) * co * NR <= wp.len(), "tap {q} outside the lane panel");
+        if co > 0 {
+            let end = rmax.checked_add(off).and_then(|v| v.checked_add((co - 1) * ostride));
+            assert!(end.is_some_and(|end| end < src.len()), "tap offset {off} outside the source");
+        }
+    }
+    let dims = TapSums { src, taps, wp, co, ostride, lstride, nr };
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma",
+        not(miri),
+        not(loom)
+    ))]
+    if use_simd {
+        // SAFETY: the asserts above bound every source read, lane-panel
+        // read and output store the tiles make.
+        unsafe {
+            if nr <= NR / 2 {
+                avx::tap_sum_rows::<8, 1>(&dims, rows, out, outs);
+            } else {
+                avx::tap_sum_rows::<4, 2>(&dims, rows, out, outs);
+            }
+        }
+        return;
+    }
+    let _ = use_simd;
+    scalar_tap_sums(&dims, rows, out, outs);
+}
+
+/// The scalar flavor of [`tap_sum_tile`]: identical chains via
+/// `f32::mul_add`, one row at a time.
+fn scalar_tap_sums(d: &TapSums<'_>, rows: &[usize], out: &mut [f32], outs: &[usize]) {
+    for (&r, &o) in rows.iter().zip(outs) {
+        let mut sum = [0.0f32; NR];
+        for &(q, off) in d.taps {
+            let mut acc = [0.0f32; NR];
+            for (k, wl) in d.wp[q * d.co * NR..(q + 1) * d.co * NR].chunks_exact(NR).enumerate() {
+                let av = d.src[r + off + k * d.ostride];
+                for (a, &wv) in acc.iter_mut().zip(wl) {
+                    *a = av.mul_add(wv, *a);
+                }
+            }
+            for (s, &a) in sum.iter_mut().zip(&acc) {
+                *s += a;
+            }
+        }
+        for (l, &s) in sum.iter().enumerate().take(d.nr) {
+            out[o + l * d.lstride] = s;
+        }
+    }
+}
+
+/// Rows per [`row_sums`] group: one AVX2 vector of per-row sums.
+pub(crate) const SUM_ROWS: usize = 8;
+
+/// Per-row sums of `N` row-major `[SUM_ROWS, feat]` blocks: for each block
+/// `s` and row `r`, `out[s][r] = (((start + b[r][0]) + b[r][1]) + …)` over
+/// ascending `j`, one left fold per row, exactly `Iterator::fold` order.
+///
+/// The SIMD path transposes `8×8` tiles in registers and keeps the eight
+/// row chains in the lanes of one vector per block, so the rows' adds
+/// overlap and the `N` blocks' chains overlap each other.
+///
+/// # Panics
+///
+/// If a block is not `SUM_ROWS · feat` floats long.
+pub(crate) fn row_sums<const N: usize>(
+    blocks: [&[f32]; N],
+    feat: usize,
+    start: f32,
+    use_simd: bool,
+) -> [[f32; SUM_ROWS]; N] {
+    for b in &blocks {
+        assert_eq!(b.len(), SUM_ROWS * feat, "row_sums block length");
+    }
+    let done = if use_simd && compiled() { feat - feat % 8 } else { 0 };
+    let mut out = [[start; SUM_ROWS]; N];
+    #[cfg(all(
+        target_arch = "x86_64",
+        target_feature = "avx2",
+        target_feature = "fma",
+        not(miri),
+        not(loom)
+    ))]
+    if done > 0 {
+        // SAFETY: every block holds `SUM_ROWS · feat` floats (asserted
+        // above), and the tiles read columns `< done ≤ feat` of each row.
+        out = unsafe { avx::row_sums_tiles(&blocks, feat, done, start) };
+    }
+    for (o, b) in out.iter_mut().zip(&blocks) {
+        for (acc, row) in o.iter_mut().zip(b.chunks_exact(feat.max(1))) {
+            *acc = row[done..].iter().fold(*acc, |a, &v| a + v);
+        }
+    }
+    out
+}
+
+/// The shared operands of one [`tap_sum_tile`] call.
+struct TapSums<'a> {
+    src: &'a [f32],
+    taps: &'a [(usize, usize)],
+    wp: &'a [f32],
+    co: usize,
+    ostride: usize,
+    lstride: usize,
+    nr: usize,
+}
+
 /// The scalar flavor of one [`gather_tile`] register tile: identical
 /// chains via `f32::mul_add`.
 #[allow(clippy::too_many_arguments)] // index soup is the kernel's nature
@@ -273,11 +438,155 @@ fn scalar_tile(
     not(loom)
 ))]
 mod avx {
-    use super::{MR, NR};
+    use super::{TapSums, MR, NR, SUM_ROWS};
     use core::arch::x86_64::{
-        __m256, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_set1_ps, _mm256_setzero_ps,
-        _mm256_storeu_ps,
+        __m256, _mm256_add_ps, _mm256_fmadd_ps, _mm256_loadu_ps, _mm256_permute2f128_ps,
+        _mm256_set1_ps, _mm256_setzero_ps, _mm256_shuffle_ps, _mm256_storeu_ps, _mm256_unpackhi_ps,
+        _mm256_unpacklo_ps,
     };
+
+    /// [`super::row_sums`] over columns `0..cols` (a multiple of 8): each
+    /// block's eight row chains run in the lanes of one vector.
+    ///
+    /// # Safety
+    ///
+    /// Every block must hold `SUM_ROWS · feat` floats, with `cols ≤ feat`.
+    pub(super) unsafe fn row_sums_tiles<const N: usize>(
+        blocks: &[&[f32]; N],
+        feat: usize,
+        cols: usize,
+        start: f32,
+    ) -> [[f32; SUM_ROWS]; N] {
+        // SAFETY: each load reads 8 floats at `r·feat + j` with
+        // `r < SUM_ROWS` and `j + 8 ≤ cols ≤ feat`, inside its block.
+        unsafe {
+            let mut acc = [_mm256_set1_ps(start); N];
+            let mut j = 0;
+            while j < cols {
+                for (a, b) in acc.iter_mut().zip(blocks) {
+                    let p = b.as_ptr().add(j);
+                    let rows: [__m256; 8] =
+                        std::array::from_fn(|r| _mm256_loadu_ps(p.add(r * feat)));
+                    for col in transpose8(rows) {
+                        *a = _mm256_add_ps(*a, col);
+                    }
+                }
+                j += 8;
+            }
+            let mut out = [[0.0f32; SUM_ROWS]; N];
+            for (o, a) in out.iter_mut().zip(&acc) {
+                _mm256_storeu_ps(o.as_mut_ptr(), *a);
+            }
+            out
+        }
+    }
+
+    /// The 8×8 transpose: lane `r` of output `t` is lane `t` of input `r`.
+    #[inline(always)]
+    fn transpose8(r: [__m256; 8]) -> [__m256; 8] {
+        // SAFETY: register-only shuffles; AVX is enabled at compile time.
+        unsafe {
+            let t0 = _mm256_unpacklo_ps(r[0], r[1]);
+            let t1 = _mm256_unpackhi_ps(r[0], r[1]);
+            let t2 = _mm256_unpacklo_ps(r[2], r[3]);
+            let t3 = _mm256_unpackhi_ps(r[2], r[3]);
+            let t4 = _mm256_unpacklo_ps(r[4], r[5]);
+            let t5 = _mm256_unpackhi_ps(r[4], r[5]);
+            let t6 = _mm256_unpacklo_ps(r[6], r[7]);
+            let t7 = _mm256_unpackhi_ps(r[6], r[7]);
+            let s0 = _mm256_shuffle_ps::<0x44>(t0, t2);
+            let s1 = _mm256_shuffle_ps::<0xEE>(t0, t2);
+            let s2 = _mm256_shuffle_ps::<0x44>(t1, t3);
+            let s3 = _mm256_shuffle_ps::<0xEE>(t1, t3);
+            let s4 = _mm256_shuffle_ps::<0x44>(t4, t6);
+            let s5 = _mm256_shuffle_ps::<0xEE>(t4, t6);
+            let s6 = _mm256_shuffle_ps::<0x44>(t5, t7);
+            let s7 = _mm256_shuffle_ps::<0xEE>(t5, t7);
+            [
+                _mm256_permute2f128_ps::<0x20>(s0, s4),
+                _mm256_permute2f128_ps::<0x20>(s1, s5),
+                _mm256_permute2f128_ps::<0x20>(s2, s6),
+                _mm256_permute2f128_ps::<0x20>(s3, s7),
+                _mm256_permute2f128_ps::<0x31>(s0, s4),
+                _mm256_permute2f128_ps::<0x31>(s1, s5),
+                _mm256_permute2f128_ps::<0x31>(s2, s6),
+                _mm256_permute2f128_ps::<0x31>(s3, s7),
+            ]
+        }
+    }
+
+    /// [`super::tap_sum_tile`] in tiles of `R` rows with `V` eight-lane
+    /// vectors per row (`nr ≤ 8·V`).
+    ///
+    /// # Safety
+    ///
+    /// Every index `tap_sum_tile` describes must be in bounds, as its
+    /// asserts establish before calling.
+    pub(super) unsafe fn tap_sum_rows<const R: usize, const V: usize>(
+        d: &TapSums<'_>,
+        rows: &[usize],
+        out: &mut [f32],
+        outs: &[usize],
+    ) {
+        for (rt, ot) in rows.chunks(R).zip(outs.chunks(R)) {
+            // A short tile repeats its last row; only live rows are stored.
+            let at = |i: usize| rt[i.min(rt.len() - 1)];
+            let base: [usize; R] = std::array::from_fn(at);
+            // SAFETY: forwarded from this function's own contract.
+            let sum = unsafe { tap_sum_regs::<R, V>(d, base) };
+            for (s, &o) in sum.iter().zip(ot) {
+                let mut stage = [0.0f32; NR];
+                for (v, &x) in s.iter().enumerate() {
+                    // SAFETY: `stage` holds `NR ≥ 8·V` floats.
+                    unsafe { _mm256_storeu_ps(stage.as_mut_ptr().add(8 * v), x) };
+                }
+                for (l, &x) in stage.iter().enumerate().take(d.nr) {
+                    out[o + l * d.lstride] = x;
+                }
+            }
+        }
+    }
+
+    /// The `R×V` register sums of one [`tap_sum_rows`] tile.
+    ///
+    /// # Safety
+    ///
+    /// As [`tap_sum_rows`], for the rows `base`.
+    #[inline(always)]
+    unsafe fn tap_sum_regs<const R: usize, const V: usize>(
+        d: &TapSums<'_>,
+        base: [usize; R],
+    ) -> [[__m256; V]; R] {
+        // SAFETY: the caller's contract bounds every read below.
+        unsafe {
+            let mut sum = [[_mm256_setzero_ps(); V]; R];
+            let s = d.src.as_ptr();
+            for &(q, off) in d.taps {
+                let mut acc = [[_mm256_setzero_ps(); V]; R];
+                let mut w = d.wp.as_ptr().add(q * d.co * NR);
+                for k in 0..d.co {
+                    let step = off + k * d.ostride;
+                    let mut wv = [_mm256_setzero_ps(); V];
+                    for (v, x) in wv.iter_mut().enumerate() {
+                        *x = _mm256_loadu_ps(w.add(8 * v));
+                    }
+                    for (accr, &r) in acc.iter_mut().zip(&base) {
+                        let av = _mm256_set1_ps(*s.add(r + step));
+                        for (a, &x) in accr.iter_mut().zip(&wv) {
+                            *a = _mm256_fmadd_ps(av, x, *a);
+                        }
+                    }
+                    w = w.add(NR);
+                }
+                for (sr, ar) in sum.iter_mut().zip(&acc) {
+                    for (x, &a) in sr.iter_mut().zip(ar) {
+                        *x = _mm256_add_ps(*x, a);
+                    }
+                }
+            }
+            sum
+        }
+    }
 
     /// The full `MR×nr` AVX2/FMA tile; see [`super::tile`] for the operand
     /// contract. Bounds for every raw load/store are established by the

@@ -185,11 +185,18 @@ impl ParamStore {
     /// Flattens every parameter value into one contiguous buffer — the wire
     /// format for broadcasting fresh chief parameters to employees.
     pub fn flat_values(&self) -> Vec<f32> {
-        let mut out = Vec::with_capacity(self.num_scalars());
+        let mut out = Vec::new();
+        self.flat_values_into(&mut out);
+        out
+    }
+
+    /// [`Self::flat_values`] into `out`, reusing its allocation.
+    pub fn flat_values_into(&self, out: &mut Vec<f32>) {
+        out.clear();
+        out.reserve(self.num_scalars());
         for p in &self.params {
             out.extend_from_slice(p.value.data());
         }
-        out
     }
 
     /// Overwrites every parameter value from a flat buffer with identical

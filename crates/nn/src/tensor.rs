@@ -275,15 +275,12 @@ impl Tensor {
     pub fn matmul_nt(&self, other: &Tensor) -> Tensor {
         // `other` is `[n, k]`: the product's width is its first extent.
         let mut out = Self::empty_product(self.shape.first(), other.shape.first());
-        let mut scratch = arena::take_f32(other.numel());
-        self.matmul_nt_into(other, &mut scratch, &mut out);
-        arena::put_f32(scratch);
+        self.matmul_nt_into(other, &mut out);
         out
     }
 
-    /// [`Self::matmul_nt`] writing into `out` and transpose-packing through
-    /// `scratch`, reusing both allocations across calls.
-    pub fn matmul_nt_into(&self, other: &Tensor, scratch: &mut Vec<f32>, out: &mut Tensor) {
+    /// [`Self::matmul_nt`] writing into `out`, reusing its allocation.
+    pub fn matmul_nt_into(&self, other: &Tensor, out: &mut Tensor) {
         assert_eq!(self.ndim(), 2, "matmul_nt lhs must be rank 2");
         assert_eq!(other.ndim(), 2, "matmul_nt rhs must be rank 2");
         let (m, k) = (self.shape[0], self.shape[1]);
@@ -297,7 +294,6 @@ impl Tensor {
             m,
             k,
             n,
-            scratch,
             crate::ops::gemm::kernel_threads(),
         );
     }

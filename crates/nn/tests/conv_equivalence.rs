@@ -3,19 +3,21 @@
 //!
 //! `conv2d_forward` and the weight gradient of `conv2d_backward` run a
 //! gather-tile direct convolution that reads each tap from the
-//! zero-bordered input through offset tables; the input gradient is a GEMM
-//! over `W` followed by col2im. The kernels may reorder *where* values are
-//! read from, but never the order in which any output is accumulated, so
-//! every result must equal the plain nested loops below bit for bit:
+//! zero-bordered input through offset tables; the input gradient is built
+//! straight from the upstream gradient and `W`, one tile of input pixels
+//! that read the same taps at a time. The kernels may reorder *where*
+//! values are read from, but never the order in which any output is
+//! accumulated, so every result must equal the plain nested loops below
+//! bit for bit:
 //!
 //! * forward — one `mul_add` chain per output over the patch in ascending
 //!   `(ci, ky, kx)` order, padding taps included as `0.0` factors, starting
 //!   from `0.0`; the bias is added after the chain;
 //! * weight gradient — one chain per weight over output pixels in
 //!   ascending `(b, oy, ox)` order;
-//! * input gradient — one chain per column-matrix entry over `C_out`, then
-//!   each input element sums its taps in ascending `(ky, kx)` order,
-//!   starting from `0.0`;
+//! * input gradient — one chain over `C_out` per valid tap (the entry a
+//!   column-matrix gradient would hold), and each input element sums its
+//!   taps' chains in ascending `(ky, kx)` order, starting from `0.0`;
 //! * bias gradient — a sequential sum in ascending `(b, oy, ox)` order.
 //!
 //! Every case runs at kernel thread counts 1, 2 and 3, with the scalar

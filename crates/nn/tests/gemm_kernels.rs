@@ -12,10 +12,12 @@
 //!    the blocked kernel against the unblocked reference across awkward
 //!    shapes (primes, non-multiples of the tile, degenerate dims), exact to
 //!    the bit.
-//! 3. **A-panel producer entry** — `gemm_with_a_panels` over a producer
+//! 3. **Transposed operands** — `gemm_with_a_panels` over a producer
 //!    that packs a stored A must equal `gemm` on that A bit for bit, on
 //!    ragged, multi-block and empty shapes, under both kernel flavors; so
-//!    must `matmul_tn`, whose sequential route is such a producer.
+//!    must `matmul_tn`, whose sequential route is such a producer, and
+//!    `gemm_nt`, which packs `Bᵀ` straight from `B`, at the PPO backward's
+//!    shapes.
 //! 4. **Kernel counters** — a conv forward plus a full backward tallies the
 //!    three products of the column-matrix lowering it replaced.
 //! 5. **Determinism** — same inputs produce bit-identical outputs across
@@ -170,17 +172,64 @@ fn small_m_route_matches_naive_and_the_packed_rows() {
 fn transposed_variants_match_naive_on_random_shapes() {
     let _knobs = knobs();
     let mut rng = StdRng::seed_from_u64(42);
-    let mut scratch = Vec::new();
     for &(m, k, n) in &[(3, 5, 7), (13, 8, 21), (1, 19, 4)] {
         let a = tensor2(&mut rng, m, k);
         let bt = tensor2(&mut rng, n, k);
         let mut got = vec![0.0f32; m * n];
-        gemm::gemm_nt(a.data(), bt.data(), &mut got, m, k, n, &mut scratch, 1);
+        gemm::gemm_nt(a.data(), bt.data(), &mut got, m, k, n, 1);
         let mut b_mat = Vec::new();
         gemm::transpose_into(bt.data(), n, k, &mut b_mat);
         let mut want = vec![0.0f32; m * n];
         gemm::matmul_naive(a.data(), &b_mat, &mut want, m, k, n);
         assert_eq!(got, want, "gemm_nt m={m} k={k} n={n}");
+    }
+}
+
+/// `gemm_nt` at the shapes of the PPO backward's `dA = g·Bᵀ` products
+/// (B = 100: the fc layer, the paper heads, the value head), below one
+/// register tile of rows, across a k-block, and with empty dimensions:
+/// bitwise equal to `matmul_naive` on the materialised transpose, for both
+/// kernel flavors and on the pooled route.
+#[test]
+fn gemm_nt_matches_naive_at_ppo_backward_shapes() {
+    let _knobs = knobs();
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut rng = StdRng::seed_from_u64(0x9E7);
+    let shapes = [
+        (100, 128, 256),
+        (100, 18, 128),
+        (100, 4, 128),
+        (100, 1, 128),
+        (1, 128, 256),
+        (3, 18, 128),
+        (2, 300, 17),
+        (9, 300, 21),
+        (5, 7, 33),
+        (0, 128, 256),
+        (100, 0, 128),
+        (100, 128, 0),
+        (1, 0, 3),
+    ];
+    for &(m, k, n) in &shapes {
+        let a = tensor2(&mut rng, m, k);
+        let bt = tensor2(&mut rng, n, k);
+        let mut b_mat = Vec::new();
+        gemm::transpose_into(bt.data(), n, k, &mut b_mat);
+        let mut want = vec![0.0f32; m * n];
+        gemm::matmul_naive(a.data(), &b_mat, &mut want, m, k, n);
+        for scalar in [false, true] {
+            gemm::set_force_scalar(scalar);
+            for threads in [1usize, 2] {
+                let mut got = vec![f32::NAN; m * n];
+                gemm::gemm_nt(a.data(), bt.data(), &mut got, m, k, n, threads);
+                let ctx = format!("m={m} k={k} n={n} scalar={scalar} threads={threads}");
+                assert_eq!(bits(&got), bits(&want), "{ctx}");
+            }
+        }
+        gemm::set_force_scalar(false);
+        if m > 0 && k > 0 && n > 0 {
+            assert_eq!(bits(a.matmul_nt(&bt).data()), bits(&want), "matmul_nt m={m} k={k} n={n}");
+        }
     }
 }
 
@@ -361,8 +410,8 @@ fn conv_forward_and_backward_tally_the_three_products() {
     let _knobs = knobs();
     // A forward plus a full backward counts one product per pass — the
     // forward `[N, patch]·[patch, C_out]`, `dW = [C_out, N]·[N, patch]` and
-    // `dcolsT = [N, C_out]·[C_out, patch]` — with their FLOPs, exactly as
-    // the column-matrix lowering tallied them.
+    // the input gradient's `goutᵀ·W = [N, C_out]·[C_out, patch]` — with
+    // their FLOPs, exactly as the column-matrix lowering tallied them.
     let cfg = ConvCfg { in_channels: 3, out_channels: 8, kernel: 3, stride: 2, padding: 1 };
     let mut rng = StdRng::seed_from_u64(0xC0DE);
     let x = Tensor::from_vec(&[5, 3, 16, 16], tensor2(&mut rng, 5 * 3 * 16, 16).data().to_vec());

@@ -638,6 +638,9 @@ pub struct ChiefExecutor {
     /// Last broadcast parameter snapshot; respawned employees are seeded
     /// from it.
     snapshot: Option<Arc<(Vec<f32>, Vec<f32>)>>,
+    /// The snapshot before it, refilled by a broadcast that finds the last
+    /// one still queued for an employee.
+    spare: Option<Arc<(Vec<f32>, Vec<f32>)>>,
     /// Global update-round counter (drives fault injection and resume).
     round: u64,
     /// Respawns spent from the restart budget.
@@ -719,6 +722,7 @@ impl ChiefExecutor {
             faults,
             factory,
             snapshot: None,
+            spare: None,
             round: 0,
             restarts_used: 0,
             backoff_rng,
@@ -872,8 +876,36 @@ impl ChiefExecutor {
         ppo: Vec<f32>,
         curiosity: Vec<f32>,
     ) -> Result<(), ChiefError> {
+        self.broadcast_params_with(|p, c| {
+            *p = ppo;
+            *c = curiosity;
+        })
+    }
+
+    /// [`Self::broadcast_params`] with the snapshot written by `fill(ppo,
+    /// curiosity)`. Employees drop their clone of a snapshot once they have
+    /// loaded it, so `fill` normally rewrites the last snapshot's buffers in
+    /// place. When an employee still holds it (two broadcasts with no
+    /// employee reply between them), the one before it is refilled instead;
+    /// a fresh snapshot is built only when both are held.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::broadcast_params`].
+    pub fn broadcast_params_with(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<f32>, &mut Vec<f32>),
+    ) -> Result<(), ChiefError> {
         let timer = self.tel().map(|_| Instant::now());
-        let shared = Arc::new((ppo, curiosity));
+        let unshared = |s: &Arc<_>| Arc::strong_count(s) == 1;
+        let (mut shared, spare) = match self.snapshot.take() {
+            Some(last) if unshared(&last) => (last, self.spare.take()),
+            last => (self.spare.take().filter(unshared).unwrap_or_default(), last),
+        };
+        self.spare = spare;
+        // Unshared (or fresh), so `make_mut` never clones here.
+        let (ppo, curiosity) = Arc::make_mut(&mut shared);
+        fill(ppo, curiosity);
         self.snapshot = Some(Arc::clone(&shared));
         for i in 0..self.slots.len() {
             let sent = match &self.slots[i].cmd_tx {
@@ -1460,6 +1492,59 @@ mod tests {
         assert!((report.stats.entropy - 1.5).abs() < 1e-6);
         // Curiosity buffer collected the ids.
         assert_eq!(report.curiosity, vec![6.0]);
+    }
+
+    #[test]
+    fn broadcast_refills_unshared_snapshots_in_place() {
+        let employees: Vec<FakeEmployee> = (0..2).map(FakeEmployee::new).collect();
+        let mut chief = ChiefExecutor::spawn(employees).unwrap();
+        let mut buffers = Vec::new();
+        let mut broadcast = |chief: &mut ChiefExecutor, params: &[f32]| {
+            chief
+                .broadcast_params_with(|ppo, cur| {
+                    ppo.clear();
+                    ppo.extend_from_slice(params);
+                    cur.clear();
+                })
+                .unwrap();
+            let snap = chief.snapshot.as_ref().unwrap();
+            buffers.push((Arc::as_ptr(snap), snap.0.as_ptr()));
+        };
+        // The trainer's pattern: a broadcast opens each episode, straight
+        // after the one that closed the last, then one follows each update.
+        for episode in 0..4u8 {
+            let mut params = vec![f32::from(episode) - 1.5, f32::MIN_POSITIVE, -0.0];
+            broadcast(&mut chief, &params);
+            chief.rollout_all().unwrap();
+            for epoch in 0..2u8 {
+                // Each employee returns the parameters it loaded plus its id.
+                let report = chief.gather_grads().unwrap();
+                let want: Vec<u32> =
+                    params.iter().map(|v| ((v + 0.0) + (v + 1.0)).to_bits()).collect();
+                let got: Vec<u32> = report.ppo.iter().map(|v| v.to_bits()).collect();
+                assert_eq!(got, want, "episode {episode} epoch {epoch}");
+                params[0] *= 0.5;
+                broadcast(&mut chief, &params);
+            }
+        }
+        // Two snapshots serve every broadcast: the back-to-back one refills
+        // the spare while the other is still queued for the employees.
+        let mut distinct = buffers.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(
+            distinct.len() <= 2,
+            "{} snapshots for {} broadcasts",
+            distinct.len(),
+            buffers.len()
+        );
+
+        // A snapshot someone else holds is never rewritten.
+        let held = Arc::clone(chief.snapshot.as_ref().unwrap());
+        let before: Vec<u32> = held.0.iter().map(|v| v.to_bits()).collect();
+        chief.broadcast_params(vec![9.0; 3], vec![]).unwrap();
+        assert!(!Arc::ptr_eq(&held, chief.snapshot.as_ref().unwrap()));
+        assert_eq!(held.0.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), before);
     }
 
     #[test]

@@ -181,8 +181,6 @@ pub struct ActorCriticNet<H> {
     fc: Linear,
     heads: H,
     value_head: Linear,
-    /// Spatial size after each conv stage, cached for reshapes.
-    dims: [usize; 3],
 }
 
 /// The paper's actor–critic, with per-worker head columns.
@@ -225,7 +223,7 @@ impl<H: Heads> ActorCriticNet<H> {
         let heads = H::new(store, &cfg, rng);
         let value_head = Linear::new_head(store, &name("value"), cfg.feature_dim, 1, rng);
 
-        Self { cfg, conv1, ln1, conv2, ln2, conv3, ln3, fc, heads, value_head, dims: [d1, d2, d3] }
+        Self { cfg, conv1, ln1, conv2, ln2, conv3, ln3, fc, heads, value_head }
     }
 
     /// The network's static configuration.
@@ -238,24 +236,16 @@ impl<H: Heads> ActorCriticNet<H> {
     /// `states` must be a leaf/node of shape `[B, C, grid, grid]`.
     pub fn forward(&self, g: &mut Graph, store: &ParamStore, states: NodeId) -> NetOutputs {
         let b = g.shape(states)[0];
-        let [d1, d2, d3] = self.dims;
 
+        // Each LayerNorm normalizes an item's `C·H·W` conv output in place
+        // of a flatten, with the ReLU inside the same op.
         let x = self.conv1.forward(g, store, states);
-        let x = g.reshape(x, &[b, 8 * d1 * d1]);
-        let x = self.ln1.forward(g, store, x);
-        let x = g.relu(x);
-        let x = g.reshape(x, &[b, 8, d1, d1]);
-
+        let x = self.ln1.forward_relu(g, store, x);
         let x = self.conv2.forward(g, store, x);
-        let x = g.reshape(x, &[b, 16 * d2 * d2]);
-        let x = self.ln2.forward(g, store, x);
-        let x = g.relu(x);
-        let x = g.reshape(x, &[b, 16, d2, d2]);
-
+        let x = self.ln2.forward_relu(g, store, x);
         let x = self.conv3.forward(g, store, x);
-        let x = g.reshape(x, &[b, 16 * d3 * d3]);
-        let x = self.ln3.forward(g, store, x);
-        let x = g.relu(x);
+        let x = self.ln3.forward_relu(g, store, x);
+        let x = g.reshape(x, &[b, self.ln3.feat()]);
 
         let features = self.fc.forward(g, store, x);
         let features = g.relu(features);
