@@ -46,10 +46,10 @@ use vc_nn::prelude::*;
 const GATE_SHAPE: &str = "256x256x256";
 
 /// Least GFLOP/s ratio of `matmul_blocked` (one thread) over
-/// `matmul_naive` at [`GATE_SHAPE`] within one run. Both kernel flavors
-/// clear it on a 2-vCPU x86-64 host (3.0–3.9× with the AVX2 tile, 2.4–2.8×
-/// with `set_force_scalar(true)`); a `gemm` that lost its blocking reads
-/// about 1×.
+/// `matmul_naive` at [`GATE_SHAPE`] within one run. The AVX2 and scalar
+/// flavors clear it on a 2-vCPU x86-64 host (3.0–3.9× with the AVX2 tile,
+/// 2.4–2.8× with the flavor capped at `Scalar`); a `gemm` that lost its
+/// blocking reads about 1×.
 const MIN_BLOCKED_SPEEDUP: f64 = 2.0;
 
 /// One timed benchmark case.
@@ -405,7 +405,7 @@ fn main() {
     let unix_s = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
-    let simd_kernel = if gemm::simd_kernel_active() { "avx2" } else { "scalar" };
+    let simd_kernel = gemm::kernel_flavor().name();
     let run = Value::Map(vec![
         ("schema_version".into(), Value::UInt(2)),
         ("mode".into(), Value::Str(if smoke { "smoke" } else { "full" }.into())),

@@ -428,6 +428,10 @@ pub struct Trainer {
     last_ppo_stats: PpoStats,
     /// The last gather round; kept so its gradient vectors are reused.
     report: RoundReport,
+    /// Whether the stores changed since the employees last loaded them: set
+    /// by the apply step and by loading a checkpoint, cleared by
+    /// [`Self::broadcast`]. A new trainer starts with it set.
+    stale: bool,
     telemetry: Telemetry,
 }
 
@@ -528,6 +532,7 @@ impl Trainer {
             history: Vec::new(),
             last_ppo_stats: PpoStats::default(),
             report: RoundReport::default(),
+            stale: true,
             telemetry,
         })
     }
@@ -615,7 +620,9 @@ impl Trainer {
             } else {
                 cur.clear();
             }
-        })
+        })?;
+        self.stale = false;
+        Ok(())
     }
 
     /// Writes one `"round"` line to the telemetry JSONL sink (the
@@ -699,7 +706,11 @@ impl Trainer {
         // Anneal the policy learning rate against the schedule horizon.
         let progress = self.episodes as f32 / self.cfg.schedule_horizon.max(1) as f32;
         self.ppo_opt.set_learning_rate(self.cfg.lr_schedule.at(self.cfg.ppo.lr, progress));
-        self.broadcast()?;
+        // The last round's broadcast already holds these parameters unless
+        // a checkpoint was loaded since (or this is the first episode).
+        if self.stale {
+            self.broadcast()?;
+        }
         // Rollout is the synchronization barrier of the episode: the chief
         // blocks until every (surviving) employee has finished exploring.
         let sync_timer = tel_on.then(Instant::now);
@@ -733,6 +744,7 @@ impl Trainer {
                 cstore.clip_grad_norm(self.cfg.ppo.max_grad_norm);
                 self.curiosity_opt.step(cstore);
             }
+            self.stale = true;
             let apply_ms = apply_timer.map_or(0.0, |t| t.elapsed().as_secs_f64() * 1e3);
             let bc_timer = tel_on.then(Instant::now);
             self.broadcast()?;
@@ -789,6 +801,7 @@ impl Trainer {
             )));
         }
         self.store.copy_values_from(policy);
+        self.stale = true;
         Ok(())
     }
 

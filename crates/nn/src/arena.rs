@@ -31,11 +31,23 @@
 //!
 //! Per-thread growth is bounded (`MAX_BUFFERS` buffers, `MAX_HELD_BYTES`
 //! bytes per element class); anything beyond the cap is dropped to the
-//! allocator. Global hit/miss/held counters feed the trainer's telemetry
-//! gauges (`nn_arena_*`).
+//! allocator. Hit/miss/held counters feed the trainer's telemetry gauges
+//! (`nn_arena_*`).
+//!
+//! ## Counters
+//!
+//! Each thread counts into its own cache-line-aligned `Counters`,
+//! registered once when the thread first touches its arena, so the
+//! employee threads' takes and puts never contend for one cache line.
+//! [`arena_stats`] sums the registered counters under the registry lock;
+//! a thread that exits folds its hits and misses into the registry's
+//! retired totals under the same lock, so no take is lost or counted
+//! twice, and its held bytes leave with its freelists.
 
 use crate::sync::atomic::{AtomicU64, Ordering};
+use crate::sync::{Mutex, MutexGuard, PoisonError};
 use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Per-thread, per-class cap on parked buffers.
 #[cfg(not(loom))]
@@ -51,13 +63,33 @@ const MAX_BUFFERS: usize = 2;
 #[cfg(loom)]
 const MAX_HELD_BYTES: usize = 64;
 
-// ordering: HITS/MISSES are monotonic telemetry counters; HELD_BYTES is a
-// sum of per-thread deltas where each thread only ever undoes its own
-// additions (freelists are thread-local), so no load of any of these gates
-// other memory — Relaxed throughout.
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static HELD_BYTES: AtomicU64 = AtomicU64::new(0);
+// ordering: hits/misses are monotonic telemetry counters; held_bytes is a
+// sum of deltas that only the owning thread applies (freelists are
+// thread-local); no load of any of them gates other memory — Relaxed
+// throughout.
+/// One thread's arena counters, on a cache line of their own.
+#[repr(align(64))]
+#[derive(Default)]
+struct Counters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    held_bytes: AtomicU64,
+}
+
+/// The live threads' counters, plus the hits and misses of threads that
+/// have exited.
+struct Registry {
+    live: Vec<Arc<Counters>>,
+    retired_hits: u64,
+    retired_misses: u64,
+}
+
+static REGISTRY: Mutex<Registry> =
+    Mutex::new(Registry { live: Vec::new(), retired_hits: 0, retired_misses: 0 });
+
+fn registry() -> MutexGuard<'static, Registry> {
+    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// A snapshot of the process-wide arena counters (summed over threads).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -70,20 +102,29 @@ pub struct ArenaStats {
     pub held_bytes: u64,
 }
 
-/// Reads the process-wide arena counters.
+/// Reads the process-wide arena counters: every thread's, summed.
 pub fn arena_stats() -> ArenaStats {
-    ArenaStats {
-        hits: HITS.load(Ordering::Relaxed), // ordering: telemetry (see statics)
-        misses: MISSES.load(Ordering::Relaxed), // ordering: telemetry (see statics)
-        held_bytes: HELD_BYTES.load(Ordering::Relaxed), // ordering: telemetry (see statics)
+    let reg = registry();
+    let mut stats =
+        ArenaStats { hits: reg.retired_hits, misses: reg.retired_misses, held_bytes: 0 };
+    for c in &reg.live {
+        stats.hits += c.hits.load(Ordering::Relaxed); // ordering: telemetry (see Counters)
+        stats.misses += c.misses.load(Ordering::Relaxed); // ordering: telemetry (see Counters)
+        stats.held_bytes += c.held_bytes.load(Ordering::Relaxed); // ordering: telemetry
     }
+    stats
 }
 
 /// Zeroes the hit/miss counters (held bytes track live state and are not
 /// reset).
 pub fn reset_arena_stats() {
-    HITS.store(0, Ordering::Relaxed); // ordering: telemetry (see statics)
-    MISSES.store(0, Ordering::Relaxed); // ordering: telemetry (see statics)
+    let mut reg = registry();
+    reg.retired_hits = 0;
+    reg.retired_misses = 0;
+    for c in &reg.live {
+        c.hits.store(0, Ordering::Relaxed); // ordering: telemetry (see Counters)
+        c.misses.store(0, Ordering::Relaxed); // ordering: telemetry (see Counters)
+    }
 }
 
 /// One element class of the freelist: buffers sorted ascending by capacity.
@@ -99,7 +140,7 @@ impl<T> Shelf<T> {
 
     /// Best-fit take: the smallest parked buffer with capacity ≥ `min_cap`,
     /// or a fresh allocation on miss.
-    fn take(&mut self, min_cap: usize) -> Vec<T> {
+    fn take(&mut self, min_cap: usize, counters: &Counters) -> Vec<T> {
         if min_cap == 0 {
             // Don't burn a parked buffer (or a counter tick) on an empty
             // request; `Vec::new` doesn't allocate.
@@ -108,20 +149,20 @@ impl<T> Shelf<T> {
         let idx = self.free.partition_point(|v| v.capacity() < min_cap);
         if idx < self.free.len() {
             let v = self.free.remove(idx);
-            self.held_bytes -= v.capacity() * size_of::<T>();
-            // ordering: telemetry counters (see statics); each thread only
-            // subtracts bytes it previously added.
-            HELD_BYTES.fetch_sub((v.capacity() * size_of::<T>()) as u64, Ordering::Relaxed);
-            HITS.fetch_add(1, Ordering::Relaxed); // ordering: telemetry (see statics)
+            let bytes = v.capacity() * size_of::<T>();
+            self.held_bytes -= bytes;
+            // ordering: telemetry (see Counters).
+            counters.held_bytes.fetch_sub(bytes as u64, Ordering::Relaxed);
+            counters.hits.fetch_add(1, Ordering::Relaxed); // ordering: telemetry
             v
         } else {
-            MISSES.fetch_add(1, Ordering::Relaxed); // ordering: telemetry (see statics)
+            counters.misses.fetch_add(1, Ordering::Relaxed); // ordering: telemetry
             Vec::with_capacity(min_cap)
         }
     }
 
     /// Parks a cleared buffer, dropping it instead when over the caps.
-    fn put(&mut self, mut v: Vec<T>) {
+    fn put(&mut self, mut v: Vec<T>, counters: &Counters) {
         v.clear();
         let bytes = v.capacity() * size_of::<T>();
         if bytes == 0 || self.free.len() >= MAX_BUFFERS || self.held_bytes + bytes > MAX_HELD_BYTES
@@ -131,32 +172,47 @@ impl<T> Shelf<T> {
         let idx = self.free.partition_point(|p| p.capacity() < v.capacity());
         self.free.insert(idx, v);
         self.held_bytes += bytes;
-        HELD_BYTES.fetch_add(bytes as u64, Ordering::Relaxed); // ordering: telemetry (see statics)
-    }
-}
-
-impl<T> Drop for Shelf<T> {
-    fn drop(&mut self) {
-        // ordering: telemetry (see statics); returns this thread's own
-        // contribution on thread exit.
-        HELD_BYTES.fetch_sub(self.held_bytes as u64, Ordering::Relaxed);
+        counters.held_bytes.fetch_add(bytes as u64, Ordering::Relaxed); // ordering: telemetry
     }
 }
 
 struct ArenaInner {
     f32s: Shelf<f32>,
     usizes: Shelf<usize>,
+    counters: Arc<Counters>,
+}
+
+impl ArenaInner {
+    /// An empty arena whose counters are registered.
+    fn new() -> Self {
+        let counters = Arc::new(Counters::default());
+        registry().live.push(Arc::clone(&counters));
+        Self { f32s: Shelf::new(), usizes: Shelf::new(), counters }
+    }
+}
+
+impl Drop for ArenaInner {
+    /// On thread exit: the thread's hits and misses stay counted, and its
+    /// held bytes leave with its freelists.
+    fn drop(&mut self) {
+        let mut reg = registry();
+        reg.live.retain(|c| !Arc::ptr_eq(c, &self.counters));
+        reg.retired_hits += self.counters.hits.load(Ordering::Relaxed); // ordering: telemetry
+        reg.retired_misses += self.counters.misses.load(Ordering::Relaxed); // ordering: telemetry
+    }
 }
 
 thread_local! {
-    static ARENA: RefCell<ArenaInner> =
-        const { RefCell::new(ArenaInner { f32s: Shelf::new(), usizes: Shelf::new() }) };
+    static ARENA: RefCell<ArenaInner> = RefCell::new(ArenaInner::new());
 }
 
 /// An empty `Vec<f32>` with capacity ≥ `min_cap`, recycled when possible.
 pub fn take_f32(min_cap: usize) -> Vec<f32> {
     ARENA
-        .try_with(|a| a.borrow_mut().f32s.take(min_cap))
+        .try_with(|a| {
+            let ArenaInner { f32s, counters, .. } = &mut *a.borrow_mut();
+            f32s.take(min_cap, counters)
+        })
         .unwrap_or_else(|_| Vec::with_capacity(min_cap))
 }
 
@@ -171,13 +227,19 @@ pub fn take_f32_zeroed(len: usize) -> Vec<f32> {
 /// Returns an `f32` buffer to the current thread's freelist. The buffer is
 /// cleared; callers must not rely on its contents surviving.
 pub fn put_f32(v: Vec<f32>) {
-    let _ = ARENA.try_with(|a| a.borrow_mut().f32s.put(v));
+    let _ = ARENA.try_with(|a| {
+        let ArenaInner { f32s, counters, .. } = &mut *a.borrow_mut();
+        f32s.put(v, counters);
+    });
 }
 
 /// An empty `Vec<usize>` with capacity ≥ `min_cap`, recycled when possible.
 pub fn take_usize(min_cap: usize) -> Vec<usize> {
     ARENA
-        .try_with(|a| a.borrow_mut().usizes.take(min_cap))
+        .try_with(|a| {
+            let ArenaInner { usizes, counters, .. } = &mut *a.borrow_mut();
+            usizes.take(min_cap, counters)
+        })
         .unwrap_or_else(|_| Vec::with_capacity(min_cap))
 }
 
@@ -190,7 +252,10 @@ pub fn take_usize_copy(src: &[usize]) -> Vec<usize> {
 
 /// Returns a `usize` buffer to the current thread's freelist.
 pub fn put_usize(v: Vec<usize>) {
-    let _ = ARENA.try_with(|a| a.borrow_mut().usizes.put(v));
+    let _ = ARENA.try_with(|a| {
+        let ArenaInner { usizes, counters, .. } = &mut *a.borrow_mut();
+        usizes.put(v, counters);
+    });
 }
 
 #[cfg(test)]

@@ -65,7 +65,7 @@
 //! * `gb` — a sequential sum in ascending `(b, oy, ox)`.
 //!
 //! These are the chains the blocked GEMM computes on a materialised
-//! column matrix. Every thread count and both micro-kernel flavors give the
+//! column matrix. Every thread count and every kernel flavor give the
 //! same bits. Scratch comes from [`crate::arena`]. The input gradient
 //! still tallies the `[B·HO·WO, C_out]·[C_out, C_in·K²]` product of that
 //! lowering, so the kernel counters read the same.
@@ -301,13 +301,13 @@ pub fn conv2d_forward(x: &Tensor, w: &Tensor, b: &Tensor, cfg: &ConvCfg) -> Conv
 
     // y = (gathered colsT) · Wᵀ: [B·HO·WO, C_out].
     let mut y = arena::take_f32_zeroed(n * co);
-    let use_simd = gemm::simd_kernel_active();
+    let flavor = gemm::flavor();
     for j in 0..panels {
         let panel = &wt[j * patch * NR..(j + 1) * patch * NR];
         let nr = NR.min(co - j * NR);
         // Clamped: with an empty batch `y` is empty.
         let y = &mut y[(j * NR).min(n * co)..];
-        simd::gather_tile(&padded, &rows, &geo.tap_off, panel, y, co, nr, true, use_simd);
+        simd::gather_tile(&padded, &rows, &geo.tap_off, panel, y, co, nr, true, flavor);
     }
 
     // Epilogue: bias add and the NCHW store in one pass.
@@ -401,7 +401,7 @@ pub(crate) fn conv2d_weight_grads(
     // gwT = Σ_pixels (gathered colsT)ᵀ · goutᵀ: [C_in·K·K, C_out].
     let cols = geo.pixel_bases(bsz);
     let mut gwt = arena::take_f32_zeroed(patch * co);
-    let use_simd = gemm::simd_kernel_active();
+    let flavor = gemm::flavor();
     let mut kb = 0;
     while kb < n {
         let kc = KC.min(n - kb);
@@ -419,7 +419,7 @@ pub(crate) fn conv2d_weight_grads(
                 co,
                 nr,
                 kb == 0,
-                use_simd,
+                flavor,
             );
         }
         kb += kc;
@@ -467,7 +467,7 @@ pub(crate) fn conv2d_input_grad(
     let mut gx = arena::take_f32_zeroed(bsz * ci * hw);
     let mut rows = arena::take_usize(bsz * hw);
     let mut outs = arena::take_usize(bsz * hw);
-    let use_simd = gemm::simd_kernel_active();
+    let flavor = gemm::flavor();
     for class in &geo.classes {
         rows.clear();
         outs.clear();
@@ -481,19 +481,7 @@ pub(crate) fn conv2d_input_grad(
             let panel = &wp[j * kk * co * NR..(j + 1) * kk * co * NR];
             let (nr, gx) = (NR.min(ci - j * NR), &mut gx[j * NR * hw..]);
             let taps = &class.taps;
-            simd::tap_sum_tile(
-                gout.data(),
-                &rows,
-                taps,
-                panel,
-                co,
-                ns,
-                gx,
-                &outs,
-                hw,
-                nr,
-                use_simd,
-            );
+            simd::tap_sum_tile(gout.data(), &rows, taps, panel, co, ns, gx, &outs, hw, nr, flavor);
         }
     }
     arena::put_f32(wp);

@@ -9,9 +9,10 @@
 //!
 //! * [`gemm`] — `C = A·B`. Both operands are packed once into
 //!   micro-kernel-friendly layouts (see below), then the product is computed
-//!   in L2-sized `KC×NC` column panels by the `MR×NR` register tile in
-//!   [`crate::ops::simd`] (AVX2/FMA on x86-64-v3, bit-identical scalar
-//!   fallback elsewhere). Large problems fan out across the persistent
+//!   in L2-sized `KC×NC` column panels by the register tiles of
+//!   [`crate::ops::simd`] (AVX-512 or AVX2/FMA on x86-64-v3, chosen from
+//!   CPUID; a bit-identical scalar fallback elsewhere; see
+//!   [`KernelFlavor`]). Large problems fan out across the persistent
 //!   kernel pool ([`crate::ops::pool`]) on a 2-D grid of row-chunk ×
 //!   column-panel cells;
 //! * [`gemm_with_a_panels`] — `C = A·B` where A is never stored: a caller
@@ -61,12 +62,12 @@
 //! at literal zero for the first `k`-block (so callers never pre-zero `C`
 //! — that memset was ~3% of a 256³ multiply) and *reloads* it from `C` at
 //! every later `k`-block boundary instead of summing per-block partials, so
-//! blocking does not reassociate the floating-point sum. Lane `j` of the
-//! AVX2 FMA tile computes exactly the scalar `mul_add` chain (fused
-//! multiply-add is deterministic per lane), so SIMD does not reassociate it
-//! either. Parallel dispatch partitions the *output* into disjoint
-//! row-chunk × column-panel cells, each computed by exactly one thread as
-//! the same chain. Consequently results are bit-identical to
+//! blocking does not reassociate the floating-point sum. Lane `j` of an
+//! AVX-512 or AVX2 FMA tile computes exactly the scalar `mul_add` chain
+//! (fused multiply-add is deterministic per lane), so SIMD does not
+//! reassociate it either. Parallel dispatch partitions the *output* into
+//! disjoint row-chunk × column-panel cells, each computed by exactly one
+//! thread as the same chain. Consequently results are bit-identical to
 //! [`matmul_naive`] for every thread count and for every kernel flavor —
 //! checkpoint-resume determinism survives the fast path. Products of fewer
 //! than `MR` rows skip the packing and run [`matmul_naive`] itself, which
@@ -78,7 +79,7 @@ use crate::ops::simd;
 use crate::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 
-use simd::{MR, NR};
+use simd::{MR, NR, ROWS};
 
 /// `k`-block height: one packed `KC × NR` B-panel is 16 KiB, comfortably
 /// inside L1 while the packed A micro-panels stream through.
@@ -125,30 +126,69 @@ pub fn kernel_threads() -> usize {
     KERNEL_THREADS.load(Ordering::Relaxed).max(1) // ordering: tuning knob (see setter)
 }
 
-/// When set, [`gemm`] routes every tile through the scalar fallback even on
-/// SIMD-capable builds. The two paths are bit-identical by construction
-/// (see [`crate::ops::simd`]); this knob exists so equivalence tests and
-/// the dispatch-threshold calibration can run both flavors on one host.
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Forces (or un-forces) the scalar micro-kernel on SIMD-capable builds.
-/// Purely a test/calibration knob — results are bit-identical either way.
-pub fn set_force_scalar(on: bool) {
-    // ordering: standalone test knob; a dispatch racing the toggle picks
-    // either kernel flavor, which agree bitwise.
-    FORCE_SCALAR.store(on, Ordering::Relaxed);
+/// The register-tile flavors of [`crate::ops::simd`], slowest first. Every
+/// flavor computes the same bits; they differ only in speed.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum KernelFlavor {
+    /// `f32::mul_add` chains: every build and host (non-x86, Miri, loom).
+    Scalar,
+    /// 256-bit AVX2/FMA tiles: the x86-64-v3 build baseline.
+    Avx2,
+    /// 512-bit AVX-512F tiles, on hosts whose CPUID reports `avx512f`.
+    Avx512,
 }
 
-/// Whether the scalar micro-kernel is currently forced.
-pub fn force_scalar() -> bool {
-    FORCE_SCALAR.load(Ordering::Relaxed) // ordering: test knob (see setter)
+impl KernelFlavor {
+    /// Every flavor, slowest first.
+    pub const ALL: [KernelFlavor; 3] = [Self::Scalar, Self::Avx2, Self::Avx512];
+
+    /// The lower-case name the kernel bench records.
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::Scalar => "scalar",
+            Self::Avx2 => "avx2",
+            Self::Avx512 => "avx512",
+        }
+    }
 }
 
-/// Whether the next [`gemm`] dispatch will use the SIMD tile: compiled in
-/// and not overridden by [`set_force_scalar`]. Benchmarks record this next
-/// to the detected target features.
-pub fn simd_kernel_active() -> bool {
-    simd::compiled() && !force_scalar()
+/// The highest flavor kernels may run, as a [`KernelFlavor`] discriminant.
+/// The default, `Avx512`, caps nothing.
+static FLAVOR_CAP: AtomicUsize = AtomicUsize::new(KernelFlavor::Avx512 as usize);
+
+/// Caps the kernel flavor: every kernel call runs the best flavor this
+/// build and host support, but none above `cap`. Results are bit-identical
+/// for every setting; the cap exists so equivalence tests and calibrations
+/// can run each flavor on one host. A flavor above the host's is never
+/// chosen, whatever the cap: `Avx512` needs CPUID's `avx512f`.
+pub fn set_kernel_flavor_cap(cap: KernelFlavor) {
+    // ordering: standalone test knob; a dispatch racing the store picks
+    // either flavor, which agree bitwise.
+    FLAVOR_CAP.store(cap as usize, Ordering::Relaxed);
+}
+
+/// The flavor the next kernel call runs: [`host_kernel_flavor`], capped by
+/// [`set_kernel_flavor_cap`]. Benchmarks record it.
+pub fn kernel_flavor() -> KernelFlavor {
+    flavor().get()
+}
+
+/// The best flavor this build runs on this host, whatever the cap: `Avx512`
+/// when the x86-64-v3 build runs on a CPU with `avx512f`, `Avx2` on other
+/// x86-64-v3 hosts, `Scalar` everywhere else.
+pub fn host_kernel_flavor() -> KernelFlavor {
+    simd::host_flavor()
+}
+
+/// The capped flavor, as the token the tiles take.
+pub(crate) fn flavor() -> simd::Flavor {
+    // ordering: test knob (see the setter).
+    let cap = match FLAVOR_CAP.load(Ordering::Relaxed) {
+        0 => KernelFlavor::Scalar,
+        1 => KernelFlavor::Avx2,
+        _ => KernelFlavor::Avx512,
+    };
+    simd::Flavor::capped(cap)
 }
 
 /// Gate for kernel telemetry. When off (the default) every instrumented
@@ -345,7 +385,7 @@ pub fn gemm_with_a_panels(
         out.fill(0.0);
         return;
     }
-    let use_simd = simd_kernel_active();
+    let flavor = flavor();
     let n_pad = n.div_ceil(NR) * NR;
     // Zeroed: `pack_b` relies on pad lanes reading as zero.
     let mut bp = arena::take_f32_zeroed(k * n_pad);
@@ -366,10 +406,10 @@ pub fn gemm_with_a_panels(
                 let bpanel = &bp[pb..pb + kc * NR];
                 let mut i = 0;
                 while i < rows {
-                    let r = MR.min(rows - i);
+                    let r = ROWS.min(rows - i);
                     let apanel = &panel[kc * i..kc * (i + r)];
                     let ob = (i0 + i) * n + j;
-                    simd::tile(r, apanel, bpanel, &mut out[ob..], n, kc, nr, kb == 0, use_simd);
+                    simd::tile(r, apanel, bpanel, &mut out[ob..], n, kc, nr, kb == 0, flavor);
                     i += r;
                 }
                 j += NR;
@@ -408,7 +448,7 @@ fn gemm_pooled(
     threads: usize,
 ) {
     pool::ensure_workers(threads - 1);
-    let use_simd = simd_kernel_active();
+    let flavor = flavor();
 
     // Zeroed only to materialize the length: `pack_a` overwrites every
     // element.
@@ -448,7 +488,7 @@ fn gemm_pooled(
             let bp = Arc::clone(&bp);
             let tx = tx.clone();
             jobs.push(Box::new(move || {
-                gemm_packed(&ap, &bp, &mut c_cell, nc, m, k, n, i0, rows, j0, nc, use_simd);
+                gemm_packed(&ap, &bp, &mut c_cell, nc, m, k, n, i0, rows, j0, nc, flavor);
                 let _ = tx.send((i0, j0, rows, nc, c_cell));
             }));
             j0 += NC;
@@ -459,7 +499,7 @@ fn gemm_pooled(
     let mut pending = jobs.len();
     pool::submit(jobs);
 
-    gemm_packed(&ap, &bp, out, n, m, k, n, 0, rows_per.min(m), 0, NC.min(n), use_simd);
+    gemm_packed(&ap, &bp, out, n, m, k, n, 0, rows_per.min(m), 0, NC.min(n), flavor);
 
     let mut spins = 0u32;
     while pending > 0 {
@@ -719,7 +759,7 @@ fn gemm_packed(
     rows: usize,
     j0: usize,
     nc: usize,
-    use_simd: bool,
+    flavor: simd::Flavor,
 ) {
     debug_assert!(i0.is_multiple_of(MR) && j0.is_multiple_of(NR));
     debug_assert!(i0 + rows <= m && j0 + nc <= n);
@@ -738,11 +778,11 @@ fn gemm_packed(
                 let bpanel = &bp[pb..pb + kc * NR];
                 let mut i = ic;
                 while i < ic + mc {
-                    let r = MR.min(ic + mc - i);
+                    let r = ROWS.min(ic + mc - i);
                     let pa = m * kb + kc * i;
                     let apanel = &ap[pa..pa + kc * r];
                     let ob = (i - i0) * ldc + (j - j0);
-                    simd::tile(r, apanel, bpanel, &mut out[ob..], ldc, kc, nr, first, use_simd);
+                    simd::tile(r, apanel, bpanel, &mut out[ob..], ldc, kc, nr, first, flavor);
                     i += r;
                 }
                 j += NR;
@@ -759,7 +799,7 @@ fn gemm_packed(
 /// first `k`-block pass overwrites every element before any later block
 /// reloads it, so callers need not (and do not) zero `out` first.
 fn gemm_rows(a: &[f32], bp: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    let use_simd = simd_kernel_active();
+    let flavor = flavor();
     // Zeroed only to materialize the length: `pack_a` overwrites every
     // element.
     let mut ap = arena::take_f32_zeroed(m * k);
@@ -769,7 +809,7 @@ fn gemm_rows(a: &[f32], bp: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
         let nc = NC.min(n - j0);
         // `gemm_packed` writes cell-relative: its `out[0]` is the cell's
         // top-left element, so each panel starts at column `j0`.
-        gemm_packed(&ap, bp, &mut out[j0..], n, m, k, n, 0, m, j0, nc, use_simd);
+        gemm_packed(&ap, bp, &mut out[j0..], n, m, k, n, 0, m, j0, nc, flavor);
         j0 += NC;
     }
     arena::put_f32(ap);
@@ -886,11 +926,12 @@ mod tests {
         let b = lcg_fill(22, k * n);
         let mut fast = vec![0.0; m * n];
         gemm(&a, &b, &mut fast, m, k, n, 1);
-        set_force_scalar(true);
-        assert!(!simd_kernel_active());
+        set_kernel_flavor_cap(KernelFlavor::Scalar);
+        assert_eq!(kernel_flavor(), KernelFlavor::Scalar);
         let mut slow = vec![0.0; m * n];
         gemm(&a, &b, &mut slow, m, k, n, 1);
-        set_force_scalar(false);
+        set_kernel_flavor_cap(KernelFlavor::Avx512);
+        assert_eq!(kernel_flavor(), host_kernel_flavor());
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&fast), bits(&slow));
     }

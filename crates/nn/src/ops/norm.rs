@@ -54,7 +54,7 @@ fn block_sums<const N: usize>(
     start: f32,
 ) -> [[f32; SUM_ROWS]; N] {
     if len == SUM_ROWS {
-        return simd::row_sums(blocks, feat, start, gemm::simd_kernel_active());
+        return simd::row_sums(blocks, feat, start, gemm::flavor());
     }
     let mut out = [[start; SUM_ROWS]; N];
     for (o, b) in out.iter_mut().zip(blocks) {

@@ -20,8 +20,8 @@
 //!   taps' chains in ascending `(ky, kx)` order, starting from `0.0`;
 //! * bias gradient — a sequential sum in ascending `(b, oy, ox)` order.
 //!
-//! Every case runs at kernel thread counts 1, 2 and 3, with the scalar
-//! micro-kernel forced on and off. Non-finite inputs are compared with NaN
+//! Every case runs at kernel thread counts 1, 2 and 3, under every kernel
+//! flavor the host has. Non-finite inputs are compared with NaN
 //! payloads folded to one pattern: when two NaN operands meet in one fused
 //! multiply-add, the hardware instruction form decides which payload
 //! survives, and that choice belongs to the compiler.
@@ -29,12 +29,26 @@
 
 use std::sync::Mutex;
 use vc_nn::ops::conv::{conv2d_backward, conv2d_forward, ConvCfg};
-use vc_nn::ops::gemm::{kernel_threads, set_force_scalar, set_kernel_threads};
+use vc_nn::ops::gemm::{
+    host_kernel_flavor, kernel_threads, set_kernel_flavor_cap, set_kernel_threads, KernelFlavor,
+};
 use vc_nn::tensor::Tensor;
 
-/// The thread and scalar knobs are process-global; tests in this binary
+/// The thread and flavor knobs are process-global; tests in this binary
 /// take this lock so each sweep really runs the setting it names.
 static KNOBS: Mutex<()> = Mutex::new(());
+
+/// The kernel flavors this host runs; the others are reported as skipped,
+/// never as passed.
+fn host_flavors() -> impl Iterator<Item = KernelFlavor> {
+    KernelFlavor::ALL.into_iter().filter(|&f| {
+        let runs = f <= host_kernel_flavor();
+        if !runs {
+            eprintln!("kernel flavor {} skipped: this host lacks it", f.name());
+        }
+        runs
+    })
+}
 
 fn cfg(cin: usize, cout: usize, k: usize, s: usize, p: usize) -> ConvCfg {
     ConvCfg { in_channels: cin, out_channels: cout, kernel: k, stride: s, padding: p }
@@ -206,11 +220,11 @@ fn check(c: ConvCfg, shape: [usize; 4], x: Vec<f32>, wt: Vec<f32>, seed: u64) {
 
     let _knobs = KNOBS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let saved_threads = kernel_threads();
-    for scalar in [false, true] {
-        set_force_scalar(scalar);
+    for flavor in host_flavors() {
+        set_kernel_flavor_cap(flavor);
         for threads in [1usize, 2, 3] {
             set_kernel_threads(threads);
-            let ctx = format!("{c:?} input {shape:?} threads={threads} scalar={scalar}");
+            let ctx = format!("{c:?} input {shape:?} threads={threads} flavor={flavor:?}");
             let f = conv2d_forward(&xt, &wtt, &bt, &c);
             assert_eq!(f.output.shape(), &[bsz, c.out_channels, ho, wo], "{ctx}");
             assert_eq!(bits(f.output.data()), bits(&want.out), "forward: {ctx}");
@@ -221,7 +235,7 @@ fn check(c: ConvCfg, shape: [usize; 4], x: Vec<f32>, wt: Vec<f32>, seed: u64) {
             assert_eq!(bits(g.gx.data()), bits(&want.gx), "input grad: {ctx}");
         }
     }
-    set_force_scalar(false);
+    set_kernel_flavor_cap(KernelFlavor::Avx512);
     set_kernel_threads(saved_threads);
 }
 

@@ -14,7 +14,7 @@
 //!    the bit.
 //! 3. **Transposed operands** — `gemm_with_a_panels` over a producer
 //!    that packs a stored A must equal `gemm` on that A bit for bit, on
-//!    ragged, multi-block and empty shapes, under both kernel flavors; so
+//!    ragged, multi-block and empty shapes, under every kernel flavor; so
 //!    must `matmul_tn`, whose sequential route is such a producer, and
 //!    `gemm_nt`, which packs `Bᵀ` straight from `B`, at the PPO backward's
 //!    shapes.
@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use vc_nn::ops::conv::{conv2d_backward, conv2d_forward};
-use vc_nn::ops::gemm;
+use vc_nn::ops::gemm::{self, host_kernel_flavor, KernelFlavor};
 use vc_nn::prelude::*;
 
 static KNOBS: Mutex<()> = Mutex::new(());
@@ -41,6 +41,18 @@ static KNOBS: Mutex<()> = Mutex::new(());
 /// Serializes the tests of this binary (see the module docs).
 fn knobs() -> MutexGuard<'static, ()> {
     KNOBS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The kernel flavors this host runs; the others are reported as skipped,
+/// never as passed.
+fn host_flavors() -> impl Iterator<Item = KernelFlavor> {
+    KernelFlavor::ALL.into_iter().filter(|&f| {
+        let runs = f <= host_kernel_flavor();
+        if !runs {
+            eprintln!("kernel flavor {} skipped: this host lacks it", f.name());
+        }
+        runs
+    })
 }
 
 fn tensor2(rng: &mut StdRng, rows: usize, cols: usize) -> Tensor {
@@ -188,8 +200,8 @@ fn transposed_variants_match_naive_on_random_shapes() {
 /// `gemm_nt` at the shapes of the PPO backward's `dA = g·Bᵀ` products
 /// (B = 100: the fc layer, the paper heads, the value head), below one
 /// register tile of rows, across a k-block, and with empty dimensions:
-/// bitwise equal to `matmul_naive` on the materialised transpose, for both
-/// kernel flavors and on the pooled route.
+/// bitwise equal to `matmul_naive` on the materialised transpose, for every
+/// kernel flavor and on the pooled route.
 #[test]
 fn gemm_nt_matches_naive_at_ppo_backward_shapes() {
     let _knobs = knobs();
@@ -217,16 +229,16 @@ fn gemm_nt_matches_naive_at_ppo_backward_shapes() {
         gemm::transpose_into(bt.data(), n, k, &mut b_mat);
         let mut want = vec![0.0f32; m * n];
         gemm::matmul_naive(a.data(), &b_mat, &mut want, m, k, n);
-        for scalar in [false, true] {
-            gemm::set_force_scalar(scalar);
+        for flavor in host_flavors() {
+            gemm::set_kernel_flavor_cap(flavor);
             for threads in [1usize, 2] {
                 let mut got = vec![f32::NAN; m * n];
                 gemm::gemm_nt(a.data(), bt.data(), &mut got, m, k, n, threads);
-                let ctx = format!("m={m} k={k} n={n} scalar={scalar} threads={threads}");
+                let ctx = format!("m={m} k={k} n={n} flavor={flavor:?} threads={threads}");
                 assert_eq!(bits(&got), bits(&want), "{ctx}");
             }
         }
-        gemm::set_force_scalar(false);
+        gemm::set_kernel_flavor_cap(KernelFlavor::Avx512);
         if m > 0 && k > 0 && n > 0 {
             assert_eq!(bits(a.matmul_nt(&bt).data()), bits(&want), "matmul_nt m={m} k={k} n={n}");
         }
@@ -260,17 +272,17 @@ fn pack_block(a: &[f32], k: usize) -> impl FnMut(usize, usize, usize, usize, &mu
 }
 
 /// `gemm_with_a_panels` over a packing producer must equal `gemm` on the
-/// same row-major A bit for bit, under both kernel flavors.
+/// same row-major A bit for bit, under every kernel flavor.
 fn check_panels_against_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut want = vec![0.0f32; m * n];
     gemm::gemm(a, b, &mut want, m, k, n, 1);
-    for scalar in [false, true] {
-        gemm::set_force_scalar(scalar);
+    for flavor in host_flavors() {
+        gemm::set_kernel_flavor_cap(flavor);
         let mut got = vec![f32::NAN; m * n];
         gemm::gemm_with_a_panels(pack_block(a, k), b, &mut got, m, k, n);
-        gemm::set_force_scalar(false);
-        assert_eq!(bits(&got), bits(&want), "m={m} k={k} n={n} force_scalar={scalar}");
+        gemm::set_kernel_flavor_cap(KernelFlavor::Avx512);
+        assert_eq!(bits(&got), bits(&want), "m={m} k={k} n={n} flavor={flavor:?}");
     }
 }
 
@@ -344,7 +356,7 @@ fn a_panel_producer_keeps_nan_out_of_pad_lanes() {
 }
 
 /// `gemm_tn` on A stored `[k, m]` must equal `gemm` on the materialised
-/// `Aᵀ` bit for bit, under both kernel flavors; `Tensor::matmul_tn` must
+/// `Aᵀ` bit for bit, under every kernel flavor; `Tensor::matmul_tn` must
 /// agree too.
 fn check_tn_against_gemm(at: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -352,21 +364,17 @@ fn check_tn_against_gemm(at: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     gemm::transpose_into(at, k, m, &mut a);
     let mut want = vec![0.0f32; m * n];
     gemm::gemm(&a, b, &mut want, m, k, n, 1);
-    for scalar in [false, true] {
-        gemm::set_force_scalar(scalar);
+    for flavor in host_flavors() {
+        gemm::set_kernel_flavor_cap(flavor);
         let mut got = vec![f32::NAN; m * n];
         gemm::gemm_tn(at, b, &mut got, m, k, n);
-        assert_eq!(bits(&got), bits(&want), "m={m} k={k} n={n} force_scalar={scalar}");
+        assert_eq!(bits(&got), bits(&want), "m={m} k={k} n={n} flavor={flavor:?}");
         let t = Tensor::from_vec(&[k, m], at.to_vec())
             .matmul_tn(&Tensor::from_vec(&[k, n], b.to_vec()));
         assert_eq!(t.shape(), &[m, n]);
-        assert_eq!(
-            bits(t.data()),
-            bits(&want),
-            "matmul_tn m={m} k={k} n={n} force_scalar={scalar}"
-        );
+        assert_eq!(bits(t.data()), bits(&want), "matmul_tn m={m} k={k} n={n} flavor={flavor:?}");
     }
-    gemm::set_force_scalar(false);
+    gemm::set_kernel_flavor_cap(KernelFlavor::Avx512);
 }
 
 #[test]

@@ -1,40 +1,50 @@
 //! Non-finite propagation through the SIMD micro-kernel.
 //!
 //! The blocked GEMM must treat NaN and ±∞ exactly like the naive reference:
-//! `f32::mul_add` and per-lane AVX2 FMA follow the same IEEE-754 rules
-//! (`0·NaN = NaN`, `0·∞ = NaN`, `∞ + -∞ = NaN`), so every poisoned input
-//! must surface in the same output elements with the same bits under both
-//! kernel flavors. The trickiest cases live in the padding: the packed B
+//! `f32::mul_add` and per-lane AVX2 and AVX-512 FMA follow the same
+//! IEEE-754 rules (`0·NaN = NaN`, `0·∞ = NaN`, `∞ + -∞ = NaN`), so every
+//! poisoned input must surface in the same output elements with the same
+//! bits under every kernel flavor. The trickiest cases live in the padding: the packed B
 //! panel zero-fills lanes `n..NR` of a ragged last panel, and those zeros
 //! are multiplied by real A values inside the vector unit — a non-finite A
 //! operand must *not* leak NaN through a padded lane into a neighboring
 //! output, and the padded lanes themselves are never written back.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use vc_nn::ops::gemm::{gemm, matmul_naive, set_force_scalar};
+use vc_nn::ops::gemm::{
+    gemm, host_kernel_flavor, matmul_naive, set_kernel_flavor_cap, KernelFlavor,
+};
+
+/// The kernel flavors this host runs; the others are reported as skipped,
+/// never as passed.
+fn host_flavors() -> impl Iterator<Item = KernelFlavor> {
+    KernelFlavor::ALL.into_iter().filter(|&f| {
+        let runs = f <= host_kernel_flavor();
+        if !runs {
+            eprintln!("kernel flavor {} skipped: this host lacks it", f.name());
+        }
+        runs
+    })
+}
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// Runs `gemm` under both kernel flavors and asserts both match naive
-/// bitwise (NaN payloads included).
+/// Runs `gemm` under every kernel flavor the host has and asserts each
+/// matches naive bitwise (NaN payloads included).
 fn check_against_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     let mut want = vec![0.0f32; m * n];
     matmul_naive(a, b, &mut want, m, k, n);
-    for scalar in [false, true] {
-        set_force_scalar(scalar);
+    for flavor in host_flavors() {
+        set_kernel_flavor_cap(flavor);
         for threads in [1usize, 4] {
             let mut got = vec![0.0f32; m * n];
             gemm(a, b, &mut got, m, k, n, threads);
-            assert_eq!(
-                bits(&got),
-                bits(&want),
-                "{m}x{k}x{n} threads={threads} force_scalar={scalar}"
-            );
+            assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} threads={threads} flavor={flavor:?}");
         }
     }
-    set_force_scalar(false);
+    set_kernel_flavor_cap(KernelFlavor::Avx512);
 }
 
 #[test]

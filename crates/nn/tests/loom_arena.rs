@@ -2,8 +2,9 @@
 //! (`crates/nn/src/arena.rs`).
 //!
 //! The freelists themselves are thread-local (no interleaving to check);
-//! what concurrency can break is the *global* HITS/MISSES/HELD_BYTES
-//! accounting shared by every thread's shelf. Under `--cfg loom` the caps
+//! what concurrency can break is the hit/miss/held accounting: each
+//! thread's counters are registered in a shared registry, summed by
+//! `arena_stats`, and folded into its retired totals when the thread exits. Under `--cfg loom` the caps
 //! shrink (`MAX_BUFFERS = 2`, `MAX_HELD_BYTES = 64`) so the over-cap drop
 //! path is reached with tiny buffers.
 //!

@@ -11,13 +11,28 @@
 //! divergence here means the partitioning, the packing layout, or the
 //! accumulation order changed.
 //!
-//! The sweep also runs with the SIMD micro-kernel force-disabled
-//! ([`set_force_scalar`]): per-lane AVX2 FMA is bit-identical to scalar
-//! `f32::mul_add`, so the scalar fallback (non-x86 / Miri / loom builds)
-//! must produce the same bits as the vectorized path.
+//! The sweep runs once per kernel flavor the host has
+//! ([`set_kernel_flavor_cap`]): per-lane AVX-512 and AVX2 FMA are
+//! bit-identical to scalar `f32::mul_add`, so the scalar fallback
+//! (non-x86 / Miri / loom builds) must produce the same bits as the
+//! vectorized paths.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use vc_nn::ops::gemm::{gemm, matmul_naive, set_force_scalar, PAR_THRESHOLD};
+use vc_nn::ops::gemm::{
+    gemm, host_kernel_flavor, matmul_naive, set_kernel_flavor_cap, KernelFlavor, PAR_THRESHOLD,
+};
+
+/// The kernel flavors this host runs; the others are reported as skipped,
+/// never as passed.
+fn host_flavors() -> impl Iterator<Item = KernelFlavor> {
+    KernelFlavor::ALL.into_iter().filter(|&f| {
+        let runs = f <= host_kernel_flavor();
+        if !runs {
+            eprintln!("kernel flavor {} skipped: this host lacks it", f.name());
+        }
+        runs
+    })
+}
 
 fn lcg_fill(buf: &mut [f32], mut state: u64) {
     for v in buf.iter_mut() {
@@ -36,12 +51,12 @@ fn check_shape(m: usize, k: usize, n: usize) {
     matmul_naive(&a, &b, &mut reference, m, k, n);
     let want: Vec<u32> = reference.iter().map(|v| v.to_bits()).collect();
 
-    // Both kernel flavors must agree with the reference. The force flag is
+    // Every kernel flavor must agree with the reference. The flavor cap is
     // process-global and tests in this binary run concurrently, but that
     // cannot skew an assertion: whichever kernel actually runs, the bits
     // must match `matmul_naive`.
-    for scalar in [false, true] {
-        set_force_scalar(scalar);
+    for flavor in host_flavors() {
+        set_kernel_flavor_cap(flavor);
         for threads in [1usize, 2, 4, 8] {
             let mut pooled = vec![0.0f32; m * n];
             gemm(&a, &b, &mut pooled, m, k, n, threads);
@@ -49,11 +64,11 @@ fn check_shape(m: usize, k: usize, n: usize) {
                 pooled.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                 want,
                 "pooled gemm diverged from naive at {m}x{k}x{n}, \
-                 threads={threads}, force_scalar={scalar}"
+                 threads={threads}, flavor={flavor:?}"
             );
         }
     }
-    set_force_scalar(false);
+    set_kernel_flavor_cap(KernelFlavor::Avx512);
 }
 
 #[test]
