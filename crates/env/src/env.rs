@@ -330,7 +330,7 @@ impl CrowdsensingEnv {
     /// worker of [`FleetState::action_masks`].
     pub fn valid_moves(&self, worker: usize) -> [bool; NUM_MOVES] {
         let mut mask = [false; NUM_MOVES];
-        self.fleet.move_mask_into(worker, &self.fleet.motion.steps(), &mut mask);
+        self.fleet.move_mask_into(worker, &mut mask);
         mask
     }
 

@@ -32,8 +32,13 @@
 //! PoI ids in ascending order, so both the drain *set* and the
 //! floating-point accumulation *order* match a full PoI scan bit for bit;
 //! the station choice takes the lowest in-range free index, as a full
-//! station scan does. The action masks ([`FleetState::action_masks`]) reuse
-//! the same kernels in one columnar pass.
+//! station scan does. A static per-cell flag (`StationReach`) answers
+//! "no station can reach this cell" before the station query, and can only
+//! over-report, so charge checks stay exact.
+//!
+//! The action masks ([`FleetState::action_masks`]) run one branch-free
+//! body per worker, `FleetState::move_mask_into`, which also serves
+//! `valid_moves`; the charge lane is `can_charge`.
 
 use crate::action::{Move, WorkerAction, NUM_MOVES};
 use crate::config::EnvConfig;
@@ -164,6 +169,74 @@ impl CellIndex {
     }
 }
 
+/// Static per-cell flags over the map: a cell is flagged when some
+/// station's range, widened by the ulps slack of [`CellIndex::runs`],
+/// touches the cell's box. Built once per [`FleetState::load`].
+///
+/// A point maps to cell `(⌊x/cell⌋, ⌊y/cell⌋)` with no clamping; negative,
+/// NaN and past-the-grid positions have no cell and take the exact query.
+/// The slack covers both the rounding of `x / cell` and that of
+/// `ChargingStation::in_range`'s `dist`, so a station that admits a point
+/// always flags the point's cell: the flag can only over-report.
+#[derive(Clone, Debug, Default)]
+struct StationReach {
+    nx: usize,
+    ny: usize,
+    cell: f32,
+    /// `nx * ny` flags, row-major.
+    flag: Vec<bool>,
+}
+
+impl StationReach {
+    /// Rebuilds the flags of a `size_x × size_y` map with square cells of
+    /// edge `cell`, visiting only the cells around each station.
+    fn build(&mut self, cell: f32, size_x: f32, size_y: f32, stations: &[ChargingStation]) {
+        self.cell = cell.max(1e-6);
+        self.nx = ((size_x / self.cell).ceil() as usize).max(1);
+        self.ny = ((size_y / self.cell).ceil() as usize).max(1);
+        self.flag.clear();
+        self.flag.resize(self.nx * self.ny, false);
+        let c = f64::from(self.cell);
+        // The largest `|x| + |y|` of a point that has a cell.
+        let corner = (self.nx + self.ny) as f64 * c;
+        for s in stations {
+            let (px, py, r) = (f64::from(s.pos.x), f64::from(s.pos.y), f64::from(s.range));
+            let reach = r + (r + corner + px.abs() + py.abs()) * (8.0 * f64::from(f32::EPSILON));
+            // The cells the box `p ± reach` overlaps, one cell wider on each
+            // side against rounding; the distance test below decides.
+            let cells = |p: f64, n: usize| {
+                let lo = (((p - reach) / c) as usize).saturating_sub(1).min(n - 1);
+                let hi = (((p + reach) / c) as usize).saturating_add(1).min(n - 1);
+                lo..=hi
+            };
+            // Distance from `p` to the interval `[k·c, (k+1)·c]` (0 inside;
+            // NaN for a NaN station, which flags nothing).
+            let gap = |p: f64, k: usize| (k as f64 * c - p).max(p - (k + 1) as f64 * c).max(0.0);
+            for cy in cells(py, self.ny) {
+                let gy = gap(py, cy);
+                for cx in cells(px, self.nx) {
+                    let gx = gap(px, cx);
+                    if (gx * gx + gy * gy).sqrt() <= reach {
+                        self.flag[cy * self.nx + cx] = true;
+                    }
+                }
+            }
+        }
+    }
+
+    /// False only when no station can have `pos` in range.
+    #[inline]
+    fn may_reach(&self, pos: Point) -> bool {
+        if pos.x >= 0.0 && pos.y >= 0.0 {
+            let (cx, cy) = ((pos.x / self.cell) as usize, (pos.y / self.cell) as usize);
+            if cx < self.nx && cy < self.ny {
+                return self.flag[cy * self.nx + cx];
+            }
+        }
+        true
+    }
+}
+
 // ---- columnar state -------------------------------------------------------
 
 /// The fleet's state, one column per worker and PoI field (DESIGN.md §16).
@@ -206,6 +279,8 @@ pub struct FleetState {
     station_index: CellIndex,
     /// The largest station range.
     station_reach: f32,
+    /// Which cells some station's range can touch.
+    reach: StationReach,
     /// The static inputs of phase A.
     pub(crate) motion: Motion,
 }
@@ -268,6 +343,9 @@ impl FleetState {
         let station_cell = self.station_reach.max(span / 256.0).max(per_station);
         let (sx, sy): (Vec<f32>, Vec<f32>) = stations.iter().map(|s| (s.pos.x, s.pos.y)).unzip();
         self.station_index.build(station_cell, cfg.size_x, cfg.size_y, &sx, &sy);
+        // Flag cells as wide as the largest range, floored like the PoI
+        // cells: a station flags about 3×3 of them.
+        self.reach.build(self.station_reach.max(span / 256.0), cfg.size_x, cfg.size_y, stations);
         crate::state::static_cells(
             cfg,
             &self.poi_x,
@@ -279,7 +357,8 @@ impl FleetState {
             size_x: cfg.size_x,
             size_y: cfg.size_y,
             beta: cfg.beta,
-            max_step: cfg.max_step,
+            dx: Move::ALL.map(|m| m.displacement(cfg.max_step).0),
+            dy: Move::ALL.map(|m| m.displacement(cfg.max_step).1),
             obstacles: cfg.obstacles.clone(),
         };
     }
@@ -297,58 +376,66 @@ impl FleetState {
         let w = self.num_workers();
         assert_eq!(moves.len(), w * NUM_MOVES, "move mask must be [W·9]");
         assert_eq!(charge.len(), w, "charge mask must be [W]");
-        let steps = self.motion.steps();
         for (wi, (mv, ch)) in moves.chunks_exact_mut(NUM_MOVES).zip(charge).enumerate() {
-            self.move_mask_into(wi, &steps, mv);
+            self.move_mask_into(wi, mv);
             *ch = self.can_charge(wi);
         }
     }
 
-    /// Worker `wi`'s move mask into `out` (`[9]`): `Stay` is always legal,
-    /// any other move exactly when `peek_move` would return a target — the
-    /// worker has energy, the path is clear and the travel cost fits the
-    /// battery. `steps` holds [`Motion::steps`].
+    /// Worker `wi`'s move mask into `out` (`[9]`, [`Move::ALL`] order):
+    /// `Stay` is always legal, any other move exactly when `peek_move`
+    /// would return a target.
+    ///
+    /// One branch-free body computes every lane: the target `x + dx`, its
+    /// travel cost `beta·sqrt(..)` (IEEE `sqrt`, so vector lanes round like
+    /// the scalar `Point::dist`), the in-map test, `!(cost > energy)` and
+    /// the exhausted test `energy <= 0`, then one `&&` per obstacle, a loop
+    /// that runs zero times on an obstacle-free map. The tests are pure, so
+    /// evaluating all of them gives `peek_move`'s answer, NaN cases
+    /// included: a NaN comparison rejects nothing.
     #[inline]
-    pub(crate) fn move_mask_into(
-        &self,
-        wi: usize,
-        steps: &[(f32, f32); NUM_MOVES],
-        out: &mut [bool],
-    ) {
-        let pos = Point::new(self.x[wi], self.y[wi]);
-        let energy = self.energy[wi];
-        let stay = Move::Stay.index();
-        // `peek_move`'s tests, in its order and with its NaN behavior: an
-        // exhausted worker may only stay; otherwise the path must be clear
-        // and `cost > energy` rejects, anything else passes.
-        if energy <= 0.0 {
-            for (mi, ok) in out.iter_mut().enumerate() {
-                *ok = mi == stay;
+    #[allow(clippy::neg_cmp_op_on_partial_ord)] // the negations keep NaN legal
+    pub(crate) fn move_mask_into(&self, wi: usize, out: &mut [bool]) {
+        let m = &self.motion;
+        let (x, y, energy) = (self.x[wi], self.y[wi], self.energy[wi]);
+        let live = !(energy <= 0.0);
+        let tx = m.dx.map(|dx| x + dx);
+        let ty = m.dy.map(|dy| y + dy);
+        let mut ok = [false; NUM_MOVES];
+        for ((ok, &tx), &ty) in ok.iter_mut().zip(&tx).zip(&ty) {
+            let (ex, ey) = (x - tx, y - ty);
+            let cost = m.beta * (ex * ex + ey * ey).sqrt();
+            let outside = (tx < 0.0) | (tx > m.size_x) | (ty < 0.0) | (ty > m.size_y);
+            *ok = live & !outside & !(cost > energy);
+        }
+        let from = Point::new(x, y);
+        for r in &m.obstacles {
+            for ((ok, &tx), &ty) in ok.iter_mut().zip(&tx).zip(&ty) {
+                *ok = *ok && !r.intersects_segment(&from, &Point::new(tx, ty));
             }
-            return;
         }
-        for (ok, &(dx, dy)) in out.iter_mut().zip(steps) {
-            let target = pos.offset(dx, dy);
-            let cost = self.motion.beta * pos.dist(&target);
-            *ok = self.motion.path_clear(&pos, &target)
-                && !matches!(cost.partial_cmp(&energy), Some(std::cmp::Ordering::Greater));
-        }
-        out[stay] = true;
+        ok[Move::Stay.index()] = true;
+        out.copy_from_slice(&ok);
     }
 
     /// Whether worker `wi` stands within range of any charging station.
     #[inline]
     pub(crate) fn can_charge(&self, wi: usize) -> bool {
         let pos = Point::new(self.x[wi], self.y[wi]);
-        self.station_index
-            .runs(pos, self.station_reach)
-            .flatten()
-            .any(|e| self.stations[e.id as usize].in_range(&pos))
+        self.reach.may_reach(pos)
+            && self
+                .station_index
+                .runs(pos, self.station_reach)
+                .flatten()
+                .any(|e| self.stations[e.id as usize].in_range(&pos))
     }
 
     /// The lowest-index station that is not `busy` and has `pos` in range.
     #[inline]
     fn free_station(&self, pos: Point, busy: &[bool]) -> Option<usize> {
+        if !self.reach.may_reach(pos) {
+            return None;
+        }
         self.station_index
             .runs(pos, self.station_reach)
             .flatten()
@@ -574,23 +661,20 @@ impl FleetStepView<'_> {
 
 // ---- phase A: independent per-worker physics ------------------------------
 
-/// The static inputs of phase A: map bounds, travel cost, step length and
-/// obstacles.
+/// The static inputs of phase A and the move masks: map bounds, travel
+/// cost, every move's displacement and the obstacles.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Motion {
     size_x: f32,
     size_y: f32,
     beta: f32,
-    max_step: f32,
+    /// Each move's displacement, in [`Move::ALL`] order.
+    dx: [f32; NUM_MOVES],
+    dy: [f32; NUM_MOVES],
     obstacles: Vec<Rect>,
 }
 
 impl Motion {
-    /// The displacement of every move, in [`Move::ALL`] order.
-    pub(crate) fn steps(&self) -> [(f32, f32); NUM_MOVES] {
-        Move::ALL.map(|m| m.displacement(self.max_step))
-    }
-
     /// Whether the segment `from -> to` stays inside the map and clear of
     /// every obstacle.
     #[inline]
@@ -619,7 +703,7 @@ impl Motion {
             return (MODE_EXHAUSTED, false, x, y, 0.0);
         }
         let start = Point::new(x, y);
-        let (dx, dy) = mv.displacement(self.max_step);
+        let (dx, dy) = (self.dx[mv.index()], self.dy[mv.index()]);
         let target = start.offset(dx, dy);
         let legal = mv == Move::Stay
             || (self.path_clear(&start, &target) && self.beta * start.dist(&target) <= energy);
@@ -803,6 +887,30 @@ mod tests {
                 assert_eq!((e.x, e.y), (xs[e.id as usize], ys[e.id as usize]));
             }
         }
+    }
+
+    #[test]
+    fn station_reach_flags_cover_points_that_rounding_admits() {
+        // Cells of edge 1. The point sits on the corner of its cell nearest
+        // each station, and each station's range is the rounded distance,
+        // so `in_range` admits the point; where the true distance exceeds
+        // the range, the exact disk misses the point's cell and only the
+        // slack flags it.
+        let p = Point::new(2.0, 2.0);
+        let mut rounded_in = 0;
+        for i in 0..400 {
+            let s = Point::new(1.7 - i as f32 * 1.3e-3, 1.6 - i as f32 * 0.7e-3);
+            let station = ChargingStation::new(s, s.dist(&p));
+            assert!(station.in_range(&p));
+            let exact = (f64::from(s.x) - 2.0).hypot(f64::from(s.y) - 2.0);
+            rounded_in += usize::from(exact > f64::from(station.range));
+            let mut reach = StationReach::default();
+            reach.build(1.0, 4.0, 4.0, &[station]);
+            assert!(reach.may_reach(p), "station {i} at {s:?} admits {p:?} but no flag");
+            // The far cells stay clear, so the flag rules something out.
+            assert!(!reach.may_reach(Point::new(3.5, 3.5)));
+        }
+        assert!(rounded_in > 0, "no station exercised the rounding case");
     }
 
     #[test]

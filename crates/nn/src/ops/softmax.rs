@@ -23,29 +23,59 @@ fn fully_masked(row: &[f32]) -> bool {
     row.iter().all(|&v| v == f32::NEG_INFINITY)
 }
 
-/// Numerically stable row-wise softmax. Fully masked rows (all `-∞`)
-/// yield the uniform distribution; see the module docs.
+/// The row's maximum by `f32::max` (NaNs ignored; `-∞` for an all-NaN
+/// row), folded in eight independent chains instead of one. The maximum of
+/// a set does not depend on the order it is taken in, except for which
+/// zero comes back when it is `±0`; `exp(v - m)` is the same for either
+/// zero, so the softmax's bits are those of a single left-to-right fold.
+#[inline]
+fn row_max(row: &[f32]) -> f32 {
+    let mut acc = [f32::NEG_INFINITY; 8];
+    let mut chunks = row.chunks_exact(8);
+    for chunk in &mut chunks {
+        for (a, &v) in acc.iter_mut().zip(chunk) {
+            *a = a.max(v);
+        }
+    }
+    for (a, &v) in acc.iter_mut().zip(chunks.remainder()) {
+        *a = a.max(v);
+    }
+    acc.into_iter().fold(f32::NEG_INFINITY, f32::max)
+}
+
+/// The softmax of one row into `dst` (same length): the row maximum `m`,
+/// the `exp(v - m)` chain with its running sum `z` in lane order, then one
+/// divide per lane. A fully masked row (all `-∞`) yields the uniform
+/// distribution. The one row body of [`softmax_rows`] and of the policy
+/// sampler, so both give the same bits.
+#[inline]
+pub fn softmax_row(row: &[f32], dst: &mut [f32]) {
+    debug_assert_eq!(row.len(), dst.len());
+    let m = row_max(row);
+    if m == f32::NEG_INFINITY && fully_masked(row) {
+        dst.fill(1.0 / row.len() as f32);
+        return;
+    }
+    let mut z = 0.0f32;
+    for (d, &v) in dst.iter_mut().zip(row) {
+        let e = (v - m).exp();
+        *d = e;
+        z += e;
+    }
+    for d in dst.iter_mut() {
+        *d /= z;
+    }
+}
+
+/// Numerically stable row-wise softmax ([`softmax_row`] per row). Fully
+/// masked rows (all `-∞`) yield the uniform distribution; see the module
+/// docs.
 pub fn softmax_rows(x: &Tensor) -> Tensor {
     assert_eq!(x.ndim(), 2, "softmax_rows requires rank 2");
     let (rows, cols) = (x.shape()[0], x.shape()[1]);
     let mut out = arena::take_f32_zeroed(rows * cols);
     for r in 0..rows {
-        let row = &x.data()[r * cols..(r + 1) * cols];
-        let dst = &mut out[r * cols..(r + 1) * cols];
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        if m == f32::NEG_INFINITY && fully_masked(row) {
-            dst.fill(1.0 / cols as f32);
-            continue;
-        }
-        let mut z = 0.0f32;
-        for (d, &v) in dst.iter_mut().zip(row) {
-            let e = (v - m).exp();
-            *d = e;
-            z += e;
-        }
-        for d in dst.iter_mut() {
-            *d /= z;
-        }
+        softmax_row(&x.data()[r * cols..(r + 1) * cols], &mut out[r * cols..(r + 1) * cols]);
     }
     Tensor::from_vec(&[rows, cols], out)
 }
@@ -172,6 +202,58 @@ mod tests {
         let ly = log_softmax_rows(&x);
         let lg = log_softmax_backward(&ly, &Tensor::ones(&[1, 3]));
         assert!(!lg.has_non_finite());
+    }
+
+    /// `softmax_row` against the single left-to-right max fold it
+    /// replaced, bit for bit, on rows of every length up to 19 mixing
+    /// signed zeros, infinities, NaNs, mask logits and ordinary values.
+    #[test]
+    fn softmax_row_matches_the_single_fold_body_bitwise() {
+        fn single_fold(row: &[f32], dst: &mut [f32]) {
+            let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+            if m == f32::NEG_INFINITY && fully_masked(row) {
+                dst.fill(1.0 / row.len() as f32);
+                return;
+            }
+            let mut z = 0.0f32;
+            for (d, &v) in dst.iter_mut().zip(row) {
+                let e = (v - m).exp();
+                *d = e;
+                z += e;
+            }
+            for d in dst.iter_mut() {
+                *d /= z;
+            }
+        }
+        let specials =
+            [0.0, -0.0, f32::NEG_INFINITY, f32::INFINITY, f32::NAN, -1e9, 1e-39, 3.5, -2.25];
+        let mut seed = 0x2545_f491u32;
+        let mut next = || {
+            seed ^= seed << 13;
+            seed ^= seed >> 17;
+            seed ^= seed << 5;
+            seed
+        };
+        for len in 1..20 {
+            for _ in 0..400 {
+                let row: Vec<f32> = (0..len)
+                    .map(|_| match next() % 4 {
+                        0 => specials[next() as usize % specials.len()],
+                        1 => 0.0,
+                        _ => (next() % 2001) as f32 / 100.0 - 10.0,
+                    })
+                    .collect();
+                let (mut got, mut want) = (vec![0.0; len], vec![0.0; len]);
+                softmax_row(&row, &mut got);
+                single_fold(&row, &mut want);
+                for (g, w) in got.iter().zip(&want) {
+                    assert!(
+                        g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                        "row {row:?}: {got:?} vs {want:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -5,10 +5,20 @@
 //! masking is optional: the paper trains with a collision penalty rather
 //! than a hard mask (Eqn 18's `τ`), but masking is exposed for ablations and
 //! for safe deployment at test time.
+//!
+//! Logits become actions in one pass per worker row (DESIGN.md §16): the
+//! sampler reads the graph's logits in place, writes the worker's masks
+//! straight into the returned [`SampledAction`], substitutes `MASK_LOGIT`
+//! on the stack, runs the per-row softmax that
+//! [`vc_nn::ops::softmax::softmax_rows`] also runs, draws, and adds to
+//! `logp`. It makes no logit clone and no probability tensor, and every
+//! field and RNG draw is bitwise that of the clone → mask →
+//! `softmax_rows` → draw chain kept as this module's test oracle.
 
 use crate::net::{ActorCriticNet, Heads, NetOutputs, CHARGE_CHOICES, MOVES_PER_WORKER};
 use rand::Rng;
 use vc_env::prelude::*;
+use vc_nn::ops::softmax::softmax_row;
 use vc_nn::prelude::*;
 
 /// Logit value used to disable a masked action.
@@ -143,55 +153,36 @@ pub fn sample_actions_batched<H: Heads>(
     let mut g = Graph::new();
     let out = forward_batched(net, store, envs, &mut g);
     let values = g.value(out.value).data();
-    let mut move_logits = g.value(out.move_logits).clone(); // [E·W, 9]
-    let mut charge_logits = g.value(out.charge_logits).clone(); // [E·W, 2]
+    let move_logits = g.value(out.move_logits).data(); // [E·W, 9]
+    let charge_logits = g.value(out.charge_logits).data(); // [E·W, 2]
     let w_count = net.config().num_workers;
 
-    // One columnar mask pass per env, written straight into that env's
-    // logit rows: `[W·9]` move lanes and the charge lane of `[W, 2]`.
-    let mut masks = Vec::with_capacity(envs.len());
-    let move_rows = move_logits.data_mut().chunks_exact_mut(w_count * MOVES_PER_WORKER);
-    let charge_rows = charge_logits.data_mut().chunks_exact_mut(w_count * CHARGE_CHOICES);
-    for ((env, move_rows), charge_rows) in envs.iter().zip(move_rows).zip(charge_rows) {
-        let mut move_mask = vec![true; w_count * MOVES_PER_WORKER];
-        let mut can_charge = vec![true; w_count];
-        if opts.mask_invalid {
-            env.fleet().action_masks(&mut move_mask, &mut can_charge);
-            for (logit, &ok) in move_rows.iter_mut().zip(&move_mask) {
-                if !ok {
-                    *logit = MASK_LOGIT;
-                }
-            }
-            for (row, &ok) in charge_rows.chunks_exact_mut(CHARGE_CHOICES).zip(&can_charge) {
-                if !ok {
-                    row[1] = MASK_LOGIT;
-                }
-            }
-        }
-        let charge_mask = can_charge.iter().flat_map(|&ok| [true, ok]).collect();
-        masks.push((move_mask, charge_mask));
-    }
-
-    let move_probs = vc_nn::ops::softmax::softmax_rows(&move_logits);
-    let charge_probs = vc_nn::ops::softmax::softmax_rows(&charge_logits);
-
-    masks
-        .into_iter()
+    envs.iter()
         .enumerate()
-        .map(|(ei, (move_mask, charge_mask))| {
+        .map(|(ei, env)| {
+            let mut move_mask = vec![true; w_count * MOVES_PER_WORKER];
+            let mut charge_mask = vec![true; w_count * CHARGE_CHOICES];
             let mut actions = Vec::with_capacity(w_count);
             let mut moves = Vec::with_capacity(w_count);
             let mut charges = Vec::with_capacity(w_count);
             let mut logp = 0.0f32;
-            for wi in 0..w_count {
-                let row = ei * w_count + wi;
-                let mp = &move_probs.data()[row * MOVES_PER_WORKER..(row + 1) * MOVES_PER_WORKER];
-                let cp = &charge_probs.data()[row * CHARGE_CHOICES..(row + 1) * CHARGE_CHOICES];
+            let rows = move_mask
+                .chunks_exact_mut(MOVES_PER_WORKER)
+                .zip(charge_mask.chunks_exact_mut(CHARGE_CHOICES))
+                .zip(move_logits[ei * w_count * MOVES_PER_WORKER..].chunks_exact(MOVES_PER_WORKER))
+                .zip(charge_logits[ei * w_count * CHARGE_CHOICES..].chunks_exact(CHARGE_CHOICES));
+            for (wi, (((move_ok, charge_ok), ml), cl)) in rows.enumerate() {
+                if opts.mask_invalid {
+                    move_ok.copy_from_slice(&env.valid_moves(wi));
+                    charge_ok[1] = env.can_charge(wi);
+                }
+                let mp = masked_softmax::<MOVES_PER_WORKER>(ml, move_ok);
+                let cp = masked_softmax::<CHARGE_CHOICES>(cl, charge_ok);
                 let (mv, ch) = match opts.mode {
                     SampleMode::Stochastic => {
-                        (sample_categorical(mp, rng), sample_categorical(cp, rng))
+                        (sample_categorical(&mp, rng), sample_categorical(&cp, rng))
                     }
-                    SampleMode::Greedy => (argmax(mp), argmax(cp)),
+                    SampleMode::Greedy => (argmax(&mp), argmax(&cp)),
                 };
                 logp += mp[mv].max(1e-12).ln() + cp[ch].max(1e-12).ln();
                 moves.push(mv);
@@ -209,6 +200,16 @@ pub fn sample_actions_batched<H: Heads>(
             }
         })
         .collect()
+}
+
+/// The softmax of one worker's `A`-lane logit row, with [`MASK_LOGIT`] in
+/// every lane `ok` rules out.
+#[inline]
+fn masked_softmax<const A: usize>(logits: &[f32], ok: &[bool]) -> [f32; A] {
+    let row: [f32; A] = std::array::from_fn(|k| if ok[k] { logits[k] } else { MASK_LOGIT });
+    let mut probs = [0.0; A];
+    softmax_row(&row, &mut probs);
+    probs
 }
 
 /// Encodes the environment state, runs the network and samples a joint
@@ -399,6 +400,142 @@ mod tests {
         assert!(sample_actions_batched(&net, &store, &[], PolicyOptions::default(), &mut rng)
             .is_empty());
         assert!(state_values_batched(&net, &store, &[]).is_empty());
+    }
+
+    /// The sampler before its one-pass epilogue, kept as the oracle: clone
+    /// the logits, write `MASK_LOGIT` into them in place, run
+    /// `softmax_rows` over all `[E·W, A]` rows, then draw row by row.
+    fn oracle_sample<H: Heads>(
+        net: &ActorCriticNet<H>,
+        store: &ParamStore,
+        envs: &[&CrowdsensingEnv],
+        opts: PolicyOptions,
+        rng: &mut impl Rng,
+    ) -> Vec<SampledAction> {
+        let mut g = Graph::new();
+        let out = forward_batched(net, store, envs, &mut g);
+        let values = g.value(out.value).data().to_vec();
+        let mut move_logits = g.value(out.move_logits).clone();
+        let mut charge_logits = g.value(out.charge_logits).clone();
+        let w_count = net.config().num_workers;
+        let mut masks = Vec::new();
+        let move_rows = move_logits.data_mut().chunks_exact_mut(w_count * MOVES_PER_WORKER);
+        let charge_rows = charge_logits.data_mut().chunks_exact_mut(w_count * CHARGE_CHOICES);
+        for ((env, move_rows), charge_rows) in envs.iter().zip(move_rows).zip(charge_rows) {
+            let mut move_mask = vec![true; w_count * MOVES_PER_WORKER];
+            let mut can_charge = vec![true; w_count];
+            if opts.mask_invalid {
+                env.fleet().action_masks(&mut move_mask, &mut can_charge);
+                for (logit, &ok) in move_rows.iter_mut().zip(&move_mask) {
+                    if !ok {
+                        *logit = MASK_LOGIT;
+                    }
+                }
+                for (row, &ok) in charge_rows.chunks_exact_mut(CHARGE_CHOICES).zip(&can_charge) {
+                    if !ok {
+                        row[1] = MASK_LOGIT;
+                    }
+                }
+            }
+            let charge_mask = can_charge.iter().flat_map(|&ok| [true, ok]).collect();
+            masks.push((move_mask, charge_mask));
+        }
+        let move_probs = vc_nn::ops::softmax::softmax_rows(&move_logits);
+        let charge_probs = vc_nn::ops::softmax::softmax_rows(&charge_logits);
+        let mut batch = Vec::new();
+        for (ei, (move_mask, charge_mask)) in masks.into_iter().enumerate() {
+            let (mut moves, mut charges, mut actions) = (Vec::new(), Vec::new(), Vec::new());
+            let mut logp = 0.0f32;
+            for wi in 0..w_count {
+                let row = ei * w_count + wi;
+                let mp = &move_probs.data()[row * MOVES_PER_WORKER..(row + 1) * MOVES_PER_WORKER];
+                let cp = &charge_probs.data()[row * CHARGE_CHOICES..(row + 1) * CHARGE_CHOICES];
+                let (mv, ch) = match opts.mode {
+                    SampleMode::Stochastic => {
+                        (sample_categorical(mp, rng), sample_categorical(cp, rng))
+                    }
+                    SampleMode::Greedy => (argmax(mp), argmax(cp)),
+                };
+                logp += mp[mv].max(1e-12).ln() + cp[ch].max(1e-12).ln();
+                moves.push(mv);
+                charges.push(ch);
+                actions.push(WorkerAction { movement: Move::from_index(mv), charge: ch == 1 });
+            }
+            let value = values[ei];
+            batch.push(SampledAction {
+                actions,
+                moves,
+                charges,
+                move_mask,
+                charge_mask,
+                logp,
+                value,
+            });
+        }
+        batch
+    }
+
+    /// The one-pass sampler equals the oracle in every field and bit and
+    /// leaves the RNG where the oracle does, over three batched envs of the
+    /// paper map (obstacles included) whose workers stand in a corner, on
+    /// a station, against an obstacle, with an empty battery or where they
+    /// were spawned, masked and unmasked, in both modes.
+    fn check_matches_oracle<H: Heads>() {
+        let mut cfg = EnvConfig::paper_default();
+        cfg.num_workers = 6;
+        let mut init = StdRng::seed_from_u64(8);
+        let mut store = ParamStore::new();
+        let net = ActorCriticNet::<H>::new(
+            &mut store,
+            NetConfig::for_scenario(cfg.grid, cfg.num_workers),
+            &mut init,
+        );
+        let mut envs = diversified(&CrowdsensingEnv::new(cfg.clone()), 3, &[0, 2, 5]);
+        let station = envs[0].stations()[0].pos;
+        let wall = cfg.obstacles[0];
+        for env in &mut envs {
+            env.teleport_worker(0, Point::new(0.0, 0.0));
+            env.set_worker_energy(1, 0.0);
+            env.teleport_worker(2, station);
+            env.teleport_worker(3, Point::new(wall.x0, wall.y0 + 0.5 * wall.height()));
+            env.teleport_worker(4, Point::new(cfg.size_x, cfg.size_y));
+        }
+        let refs: Vec<&CrowdsensingEnv> = envs.iter().collect();
+        for mode in [SampleMode::Stochastic, SampleMode::Greedy] {
+            for mask_invalid in [false, true] {
+                let opts = PolicyOptions { mode, mask_invalid };
+                let mut rng = StdRng::seed_from_u64(91);
+                let mut oracle_rng = StdRng::seed_from_u64(91);
+                for round in 0..4 {
+                    let got = sample_actions_batched(&net, &store, &refs, opts, &mut rng);
+                    let want = oracle_sample(&net, &store, &refs, opts, &mut oracle_rng);
+                    assert_eq!(got.len(), want.len());
+                    for (ei, (a, b)) in got.iter().zip(&want).enumerate() {
+                        let at = format!("{mode:?} masked={mask_invalid} round {round} env {ei}");
+                        assert_eq!(a.moves, b.moves, "{at}: moves");
+                        assert_eq!(a.charges, b.charges, "{at}: charges");
+                        assert_eq!(a.actions, b.actions, "{at}: actions");
+                        assert_eq!(a.move_mask, b.move_mask, "{at}: move mask");
+                        assert_eq!(a.charge_mask, b.charge_mask, "{at}: charge mask");
+                        assert_eq!(a.logp.to_bits(), b.logp.to_bits(), "{at}: logp");
+                        assert_eq!(a.value.to_bits(), b.value.to_bits(), "{at}: value");
+                    }
+                    if mask_invalid {
+                        let m = &got[0].move_mask;
+                        assert!(m[..NUM_MOVES].iter().filter(|&&ok| !ok).count() >= 5, "corner");
+                        assert!(m[NUM_MOVES + 1..2 * NUM_MOVES].iter().all(|&ok| !ok), "empty");
+                        assert!(got[0].charge_mask[2 * 2 + 1], "worker 2 stands on a station");
+                    }
+                }
+                assert_eq!(rng.gen::<u64>(), oracle_rng.gen::<u64>(), "RNG streams diverged");
+            }
+        }
+    }
+
+    #[test]
+    fn sampler_matches_the_clone_mask_softmax_oracle() {
+        check_matches_oracle::<JointHeads>();
+        check_matches_oracle::<FactoredHeads>();
     }
 
     #[test]
