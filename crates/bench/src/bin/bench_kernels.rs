@@ -38,7 +38,7 @@
 
 use serde::Value;
 use std::time::Instant;
-use vc_nn::ops::conv::{conv2d_backward, conv2d_forward};
+use vc_nn::ops::conv::{conv2d_forward, conv2d_input_grad, conv2d_weight_grads};
 use vc_nn::ops::gemm;
 use vc_nn::prelude::*;
 
@@ -206,8 +206,10 @@ fn bench_matmuls(out: &mut Vec<Rec>) {
     }
 }
 
-/// Times `conv2d_forward` and a full `conv2d_backward` (input, weight and
-/// bias gradients) of one layer on an `[bsz, C_in, side, side]` input.
+/// Times `conv2d_forward` and a full backward (`conv2d_weight_grads` plus
+/// `conv2d_input_grad`: weight, bias and input gradients) of one layer on an
+/// `[bsz, C_in, side, side]` input. The backward keeps its recorded op
+/// label `conv2d_backward`, so the trajectory's series continues.
 fn bench_conv_case(
     cfg: ConvCfg,
     bsz: usize,
@@ -238,13 +240,9 @@ fn bench_conv_case(
     let f = conv2d_forward(&x, &wt, &bias, &cfg);
     let gout = Tensor::ones(f.output.shape());
     let ns = time_ns_reps(iters, reps, || {
-        std::hint::black_box(conv2d_backward(
-            std::hint::black_box(&gout),
-            &f.padded,
-            &wt,
-            x.shape(),
-            &cfg,
-        ));
+        let gout = std::hint::black_box(&gout);
+        std::hint::black_box(conv2d_weight_grads(gout, &f.padded, &cfg));
+        std::hint::black_box(conv2d_input_grad(gout, &wt, x.shape(), &cfg));
     });
     out.push(Rec {
         op: "conv2d_backward",

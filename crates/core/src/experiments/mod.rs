@@ -16,11 +16,10 @@ pub mod fig9;
 pub mod sweeps;
 pub mod table2;
 
-use serde::{Deserialize, Serialize};
 use vc_env::prelude::*;
 
 /// How much compute an experiment run spends.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Scale {
     /// Training episodes per DRL run.
     pub train_episodes: usize,

@@ -8,14 +8,13 @@
 
 use crate::traits::{Curiosity, TransitionView};
 use rand::rngs::StdRng;
-use serde::{Deserialize, Serialize};
 use vc_env::geometry::Point;
 use vc_nn::param::ParamStore;
 
 const NUM_MOVES: usize = vc_env::action::NUM_MOVES;
 
 /// Count-based curiosity configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CountCuriosityConfig {
     /// Bonus scale η.
     pub eta: f32,

@@ -11,13 +11,12 @@ use crate::traits::{Curiosity, TransitionView};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use vc_nn::prelude::*;
 
 const NUM_MOVES: usize = vc_env::action::NUM_MOVES;
 
 /// ICM configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct IcmConfig {
     /// Flat length of the encoded state.
     pub state_len: usize,

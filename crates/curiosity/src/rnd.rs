@@ -12,11 +12,10 @@ use crate::traits::{Curiosity, TransitionView};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use vc_nn::prelude::*;
 
 /// RND configuration.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RndConfig {
     /// Flat length of the encoded state.
     pub state_len: usize,

@@ -8,10 +8,9 @@
 use crate::env::CrowdsensingEnv;
 use crate::metrics::Metrics;
 use crate::recording::Recording;
-use serde::{Deserialize, Serialize};
 
 /// κ/ξ/ρ sampled once per time slot.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricSeries {
     /// Data collection ratio κ per slot.
     pub kappa: Vec<f32>,

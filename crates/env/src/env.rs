@@ -17,14 +17,13 @@ use crate::entities::{ChargingStation, Poi, Worker};
 use crate::fleet::{self, FleetScratch, FleetState, FleetStepView, Pois, Workers};
 use crate::geometry::Point;
 use crate::metrics::{self, Metrics};
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::Arc;
 use vc_nn::arena;
 use vc_telemetry::{Counter, Field, Gauge, Telemetry};
 
 /// What happened to one worker during a slot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WorkerOutcome {
     /// Data collected this slot, `q_t^w`.
     pub collected: f32,

@@ -6,10 +6,9 @@
 //! collision counts, and utilization (fraction of slots spent productively).
 
 use crate::env::StepResult;
-use serde::{Deserialize, Serialize};
 
 /// Per-worker accumulated activity.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct WorkerSummary {
     /// Total data collected.
     pub collected: f32,
@@ -43,7 +42,7 @@ impl WorkerSummary {
 }
 
 /// Fleet-level episode summary.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct EpisodeSummary {
     /// Per-worker breakdown.
     pub workers: Vec<WorkerSummary>,

@@ -6,10 +6,9 @@
 use crate::config::EnvConfig;
 use crate::geometry::Point;
 use crate::state::cell_of;
-use serde::{Deserialize, Serialize};
 
 /// A per-worker sequence of visited positions.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct Trajectory {
     /// `points[w]` is worker `w`'s position at each recorded slot.
     pub points: Vec<Vec<Point>>,
@@ -77,7 +76,7 @@ impl Trajectory {
 
 /// A scalar field over the grid accumulating values at visited cells — the
 /// curiosity heat map of Fig. 9.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct HeatMap {
     grid: usize,
     values: Vec<f32>,

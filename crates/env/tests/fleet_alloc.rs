@@ -9,38 +9,14 @@
 //! wrapper, warmup steps to populate every buffer size class, then a hard
 //! zero-delta assertion per steady-state step.
 
-#![allow(unsafe_code)]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../../nn/tests/counting_alloc/mod.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocs;
 use vc_env::prelude::*;
 use vc_nn::ops::gemm::set_kernel_threads;
-
-/// Counts every `alloc`/`realloc` hitting the global allocator.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 const WORKERS: usize = 1000;
 
@@ -87,10 +63,10 @@ fn steady_state_fleet_step_performs_zero_heap_allocations() {
     }
 
     for step in 0..5 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         let view = env.step_fleet(&actions);
         let collected: f32 = view.collected.iter().sum();
-        let delta = ALLOCS.load(Ordering::Relaxed) - before;
+        let delta = allocs() - before;
         assert!(collected.is_finite(), "step {step} produced non-finite collection");
         assert_eq!(
             delta, 0,
@@ -105,11 +81,11 @@ fn steady_state_fleet_step_performs_zero_heap_allocations() {
         drop(env.step(&actions));
     }
     for step in 0..5 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         let result = env.step(&actions);
         assert_eq!(result.outcomes.len(), WORKERS);
         drop(result);
-        let delta = ALLOCS.load(Ordering::Relaxed) - before;
+        let delta = allocs() - before;
         assert_eq!(
             delta, 0,
             "steady-state step() wrapper {step} hit the global allocator {delta} time(s)"

@@ -8,46 +8,22 @@
 //! test binary instead of beside `fleet_alloc.rs`'s step test: two tests in
 //! one binary run concurrently and would count each other's allocations.
 
-#![allow(unsafe_code)]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../../nn/tests/counting_alloc/mod.rs"]
+mod counting_alloc;
 
+use counting_alloc::allocs;
 use vc_env::prelude::*;
 use vc_nn::ops::gemm::set_kernel_threads;
-
-/// Counts every `alloc`/`realloc` hitting the global allocator.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 const WORKERS: usize = 1000;
 
 /// Runs `f` and returns its result with the allocations made meanwhile.
 fn allocs_in<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let out = f();
-    (out, ALLOCS.load(Ordering::Relaxed) - before)
+    (out, allocs() - before)
 }
 
 #[test]

@@ -9,18 +9,14 @@
 //!   typed [`NnError`];
 //! * [`assert_valid`] — the gated form the graph calls on every leaf/param
 //!   node and on every parameter gradient produced by backward. It compiles
-//!   to a no-op unless debug assertions or the `strict-checks` feature are
-//!   on, so release training loops pay nothing.
-//!
-//! Enable `strict-checks` in release builds to keep the boundary guards
-//! while profiling optimized code.
+//!   to a no-op without debug assertions, so release training loops pay
+//!   nothing while `cargo test` still runs every check.
 
 use crate::error::NnError;
 use crate::tensor::Tensor;
 
-/// Whether boundary checks are compiled in (debug build or the
-/// `strict-checks` feature).
-pub const ENABLED: bool = cfg!(any(debug_assertions, feature = "strict-checks"));
+/// Whether boundary checks are compiled in (builds with debug assertions).
+pub const ENABLED: bool = cfg!(debug_assertions);
 
 /// Validates one tensor: its shape must describe exactly the stored element
 /// count and every element must be finite.
@@ -48,7 +44,7 @@ pub fn validate_tensor(t: &Tensor, context: &'static str) -> Result<(), NnError>
 ///
 /// # Panics
 ///
-/// In debug / `strict-checks` builds, when `t` fails [`validate_tensor`].
+/// In builds with debug assertions, when `t` fails [`validate_tensor`].
 #[inline]
 pub fn assert_valid(t: &Tensor, context: &'static str) {
     if ENABLED {

@@ -209,7 +209,7 @@ impl Graph {
 
     /// A constant input: no gradient flows into it.
     ///
-    /// In debug / `strict-checks` builds the value is boundary-checked
+    /// In debug builds the value is boundary-checked
     /// (shape consistency, no NaN/Inf) — see [`crate::check`].
     pub fn leaf(&mut self, value: Tensor) -> NodeId {
         crate::check::assert_valid(&value, "graph leaf");
@@ -220,7 +220,7 @@ impl Graph {
     /// bump, no copy); backward accumulates into the store's gradient slot
     /// (unless frozen).
     ///
-    /// In debug / `strict-checks` builds the parameter value is
+    /// In debug builds the parameter value is
     /// boundary-checked (shape consistency, no NaN/Inf).
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> NodeId {
         let needs = !store.is_frozen(id);
@@ -283,13 +283,6 @@ impl Graph {
         let v = self.value(a).map(|x| c * x);
         let ng = self.any_needs_grad(&[a]);
         self.push(v, &[a], Op::Scale(c), None, ng)
-    }
-
-    /// `a + c` for a known scalar.
-    pub fn add_scalar(&mut self, a: NodeId, c: f32) -> NodeId {
-        let v = self.value(a).map(|x| x + c);
-        let ng = self.any_needs_grad(&[a]);
-        self.push(v, &[a], Op::AddScalar(c), None, ng)
     }
 
     /// Elementwise ReLU.
@@ -540,7 +533,7 @@ impl Graph {
     /// tensor), accumulating parameter gradients into `store`. Returns the
     /// loss value.
     ///
-    /// In debug / `strict-checks` builds every parameter gradient leaving
+    /// In debug builds every parameter gradient leaving
     /// the tape is boundary-checked: a NaN/Inf gradient aborts here, at the
     /// graph boundary, instead of silently corrupting the optimizer state.
     pub fn backward(&self, loss: NodeId, store: &mut ParamStore) -> f32 {
@@ -642,7 +635,6 @@ impl Graph {
                     let c = *c;
                     send(&mut grads, node.parents[0], gout.map(|g| c * g));
                 }
-                Op::AddScalar(_) => send(&mut grads, node.parents[0], gout),
                 Op::MatMul => {
                     let a = node.parents[0];
                     let b = node.parents[1];
@@ -912,7 +904,9 @@ mod tests {
         check(
             &|g, x| {
                 let a = g.scale(x, 2.0);
-                let b = g.add_scalar(a, 1.0);
+                let ones = Tensor::ones(g.value(a).shape());
+                let one = g.leaf(ones);
+                let b = g.add(a, one);
                 let c = g.relu(b);
                 let d = g.tanh(c);
                 let e = g.square(d);
@@ -1197,10 +1191,11 @@ mod tests {
 
         let f = crate::ops::conv::conv2d_forward(&x0, &w0, store.value(bid), &cfg);
         let gout = Tensor::ones(f.output.shape());
-        let want = crate::ops::conv::conv2d_backward(&gout, &f.padded, &w0, x0.shape(), &cfg);
-        assert_eq!(store.grad(wid).data(), want.gw.data());
-        assert_eq!(store.grad(bid).data(), want.gb.data());
-        assert_eq!(g.grad_of(loss, x).expect("input gradient").data(), want.gx.data());
+        let (gw, gb) = crate::ops::conv::conv2d_weight_grads(&gout, &f.padded, &cfg);
+        let gx = crate::ops::conv::conv2d_input_grad(&gout, &w0, x0.shape(), &cfg);
+        assert_eq!(store.grad(wid).data(), gw.data());
+        assert_eq!(store.grad(bid).data(), gb.data());
+        assert_eq!(g.grad_of(loss, x).expect("input gradient").data(), gx.data());
     }
 
     #[test]

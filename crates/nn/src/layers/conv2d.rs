@@ -6,13 +6,9 @@ use crate::ops::conv::ConvCfg;
 use crate::param::{ParamId, ParamStore};
 use crate::tensor::Tensor;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A 2-D convolution layer `[B, C_in, H, W] -> [B, C_out, HO, WO]`.
-///
-/// `ConvCfg` derives its own serde impls (field-for-field map encoding), so
-/// the layer serializes as a plain three-field map.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Conv2dLayer {
     w: ParamId,
     b: ParamId,

@@ -3,11 +3,10 @@
 use crate::graph::{Graph, NodeId};
 use crate::param::{ParamId, ParamStore};
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 
 /// Layer normalization over each item's trailing `feat` floats of a
 /// `[B, ...]` input: `[B, feat]` rows or `[B, C, H, W]` conv outputs alike.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct LayerNormLayer {
     gamma: ParamId,
     beta: ParamId,

@@ -4,10 +4,9 @@ use crate::graph::{Graph, NodeId};
 use crate::init;
 use crate::param::{ParamId, ParamStore};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A dense layer mapping `[B, in_dim] -> [B, out_dim]`.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Linear {
     w: ParamId,
     b: ParamId,

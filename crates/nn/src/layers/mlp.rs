@@ -5,10 +5,9 @@ use crate::graph::{Graph, NodeId};
 use crate::layers::Linear;
 use crate::param::ParamStore;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Hidden-layer activation function.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Activation {
     /// Rectified linear unit, `max(0, x)`.
     Relu,
@@ -33,7 +32,7 @@ impl Activation {
 
 /// A feed-forward network `dims[0] -> dims[1] -> ... -> dims.last()`,
 /// applying `activation` after every layer except the last.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct Mlp {
     layers: Vec<Linear>,
     activation: Activation,

@@ -27,8 +27,6 @@ pub enum Op {
     AddRowBroadcast,
     /// `c * a` for a compile-time-known scalar.
     Scale(f32),
-    /// `a + c` for a compile-time-known scalar.
-    AddScalar(f32),
     /// Rank-2 matrix multiply.
     MatMul,
     /// `x[B, F]`, `table[W, F]` and `w[F, N]` into `[B·W, N]`: row `e·W + w`
@@ -125,7 +123,6 @@ impl Op {
             Op::Neg => "neg",
             Op::AddRowBroadcast => "add_row_broadcast",
             Op::Scale(_) => "scale",
-            Op::AddScalar(_) => "add_scalar",
             Op::MatMul => "matmul",
             Op::ReluJoinMatMul => "relu_join_matmul",
             Op::Relu => "relu",

@@ -32,8 +32,8 @@
 //!   the pixel's sum, which is stored once, NCHW.
 //!
 //! The zero-bordered input is the saved operand of
-//! [`crate::op::Op::Conv2d`]. [`conv2d_backward`] is `conv2d_weight_grads`
-//! plus `conv2d_input_grad`; the autograd tape calls the second only when
+//! [`crate::op::Op::Conv2d`]. The backward pass is [`conv2d_weight_grads`]
+//! plus [`conv2d_input_grad`]; the autograd tape calls the second only when
 //! the input needs a gradient. The direct kernels tally their `(m, k, n)`
 //! into the GEMM counters, so telemetry counts one product per pass as
 //! before. They run on the calling thread at every kernel thread count.
@@ -74,7 +74,6 @@ use crate::arena;
 use crate::ops::gemm;
 use crate::ops::simd::{self, NR};
 use crate::tensor::Tensor;
-use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -83,7 +82,7 @@ use std::rc::Rc;
 const KC: usize = 256;
 
 /// Static configuration of a convolution (shapes, stride, padding).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConvCfg {
     /// Input channels `C_in`.
     pub in_channels: usize,
@@ -327,38 +326,10 @@ pub fn conv2d_forward(x: &Tensor, w: &Tensor, b: &Tensor, cfg: &ConvCfg) -> Conv
     }
 }
 
-/// Gradients of a convolution with respect to input, weight and bias.
-pub struct ConvGrads {
-    /// Gradient w.r.t. the input.
-    pub gx: Tensor,
-    /// Gradient w.r.t. the weight.
-    pub gw: Tensor,
-    /// Gradient w.r.t. the bias.
-    pub gb: Tensor,
-}
-
-/// Backward convolution given the upstream gradient `gout` (`[B,C_out,HO,WO]`),
-/// the saved zero-bordered input, the weight, and the original input
-/// shape: `conv2d_weight_grads` plus `conv2d_input_grad`.
-pub fn conv2d_backward(
-    gout: &Tensor,
-    padded: &Tensor,
-    w: &Tensor,
-    x_shape: &[usize],
-    cfg: &ConvCfg,
-) -> ConvGrads {
-    let (gw, gb) = conv2d_weight_grads(gout, padded, cfg);
-    ConvGrads { gx: conv2d_input_grad(gout, w, x_shape, cfg), gw, gb }
-}
-
-/// Weight and bias gradients `(gw, gb)` from the upstream gradient and the
-/// saved zero-bordered input: the direct `dW` kernel, then one transpose
-/// of the `[C_in·K·K, C_out]` result.
-pub(crate) fn conv2d_weight_grads(
-    gout: &Tensor,
-    padded: &Tensor,
-    cfg: &ConvCfg,
-) -> (Tensor, Tensor) {
+/// Weight and bias gradients `(gw, gb)` from the upstream gradient `gout`
+/// (`[B,C_out,HO,WO]`) and the saved zero-bordered input: the direct `dW`
+/// kernel, then one transpose of the `[C_in·K·K, C_out]` result.
+pub fn conv2d_weight_grads(gout: &Tensor, padded: &Tensor, cfg: &ConvCfg) -> (Tensor, Tensor) {
     let p = cfg.padding;
     let &[bsz, c, hp, wp] = padded.shape() else { panic!("saved input must be [B,C,H,W]") };
     assert_eq!(c, cfg.in_channels, "saved input channels");
@@ -435,12 +406,7 @@ pub(crate) fn conv2d_weight_grads(
 /// Input gradient `[B, C_in, H, W]`, straight from `gout` and `W`: each
 /// input pixel sums, over its valid taps in ascending `(ky, kx)`, one
 /// ascending-`C_out` chain per `C_in` lane.
-pub(crate) fn conv2d_input_grad(
-    gout: &Tensor,
-    w: &Tensor,
-    x_shape: &[usize],
-    cfg: &ConvCfg,
-) -> Tensor {
+pub fn conv2d_input_grad(gout: &Tensor, w: &Tensor, x_shape: &[usize], cfg: &ConvCfg) -> Tensor {
     assert_eq!(x_shape.len(), 4, "conv input must be [B,C,H,W]");
     let geo = geometry(cfg, x_shape[2], x_shape[3]);
     let (ci, co, ns) = (cfg.in_channels, cfg.out_channels, geo.ho * geo.wo);
@@ -630,7 +596,8 @@ mod tests {
         // Loss = sum of outputs, so gout = ones.
         let f = conv2d_forward(&x, &w, &b, &c);
         let gout = Tensor::ones(f.output.shape());
-        let grads = conv2d_backward(&gout, &f.padded, &w, x.shape(), &c);
+        let (gw, gb) = conv2d_weight_grads(&gout, &f.padded, &c);
+        let gx = conv2d_input_grad(&gout, &w, x.shape(), &c);
 
         let eps = 1e-2f32;
         // Check a sample of weight coordinates.
@@ -643,9 +610,9 @@ mod tests {
             let fm = conv2d_forward(&x, &wm, &b, &c).output.sum();
             let num = (fp - fm) / (2.0 * eps);
             assert!(
-                (num - grads.gw.data()[i]).abs() < 5e-2,
+                (num - gw.data()[i]).abs() < 5e-2,
                 "gw[{i}] numeric {num} analytic {}",
-                grads.gw.data()[i]
+                gw.data()[i]
             );
         }
         // Check a sample of input coordinates.
@@ -658,16 +625,16 @@ mod tests {
             let fm = conv2d_forward(&xm, &w, &b, &c).output.sum();
             let num = (fp - fm) / (2.0 * eps);
             assert!(
-                (num - grads.gx.data()[i]).abs() < 2e-2,
+                (num - gx.data()[i]).abs() < 2e-2,
                 "gx[{i}] numeric {num} analytic {}",
-                grads.gx.data()[i]
+                gx.data()[i]
             );
         }
         // Bias gradient is exactly the number of output positions per
         // channel times the batch size.
         let n_spatial = (2 * f.output.shape()[2] * f.output.shape()[3]) as f32;
         for co in 0..3 {
-            assert!((grads.gb.data()[co] - n_spatial).abs() < 1e-3);
+            assert!((gb.data()[co] - n_spatial).abs() < 1e-3);
         }
     }
 }

@@ -13,11 +13,10 @@
 //! and the counting-allocator test in `crates/nn/tests/arena_alloc.rs`).
 
 use crate::arena;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A dense row-major tensor of `f32` values.
-#[derive(PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq)]
 pub struct Tensor {
     shape: Vec<usize>,
     data: Vec<f32>,

@@ -11,44 +11,18 @@
 //! few steps, then asserts the allocation counter does not move across
 //! subsequent steps. Any new `Vec` sneaking into the hot path shows up as a
 //! nonzero delta with the step index that regressed.
-#![allow(unsafe_code)]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
-use std::time::{Duration, Instant};
+mod counting_alloc;
 
+use counting_alloc::{allocs, quiesce};
+use std::sync::OnceLock;
 use vc_nn::arena;
 use vc_nn::graph::Graph;
 use vc_nn::ops::conv::ConvCfg;
 use vc_nn::ops::gemm::set_kernel_threads;
 use vc_nn::param::{ParamId, ParamStore};
 use vc_nn::tensor::Tensor;
-
-/// Counts every `alloc`/`realloc` hitting the global allocator.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Allocations and loss of each measured step.
 type Steps = Vec<(u64, f32)>;
@@ -100,23 +74,9 @@ fn measured() -> &'static Measured {
 
 /// The allocations `step` makes, with its result.
 fn counted(step: impl FnOnce() -> f32) -> (u64, f32) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     let l = step();
-    (ALLOCS.load(Ordering::Relaxed) - before, l)
-}
-
-/// Returns once no thread has allocated for 20 ms, or after 2 s.
-fn quiesce() {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    let mut last = ALLOCS.load(Ordering::Relaxed);
-    while Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-        let now = ALLOCS.load(Ordering::Relaxed);
-        if now == last {
-            return;
-        }
-        last = now;
-    }
+    (allocs() - before, l)
 }
 
 struct Model {

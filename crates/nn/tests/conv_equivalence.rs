@@ -1,7 +1,7 @@
 //! Bitwise equivalence of the convolution kernels against a direct-loop
 //! reference.
 //!
-//! `conv2d_forward` and the weight gradient of `conv2d_backward` run a
+//! `conv2d_forward` and `conv2d_weight_grads` run a
 //! gather-tile direct convolution that reads each tap from the
 //! zero-bordered input through offset tables; the input gradient is built
 //! straight from the upstream gradient and `W`, one tile of input pixels
@@ -27,28 +27,17 @@
 //! survives, and that choice belongs to the compiler.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
+use common::for_each_host_flavor;
 use std::sync::Mutex;
-use vc_nn::ops::conv::{conv2d_backward, conv2d_forward, ConvCfg};
-use vc_nn::ops::gemm::{
-    host_kernel_flavor, kernel_threads, set_kernel_flavor_cap, set_kernel_threads, KernelFlavor,
-};
+use vc_nn::ops::conv::{conv2d_forward, conv2d_input_grad, conv2d_weight_grads, ConvCfg};
+use vc_nn::ops::gemm::{kernel_threads, set_kernel_threads};
 use vc_nn::tensor::Tensor;
 
 /// The thread and flavor knobs are process-global; tests in this binary
 /// take this lock so each sweep really runs the setting it names.
 static KNOBS: Mutex<()> = Mutex::new(());
-
-/// The kernel flavors this host runs; the others are reported as skipped,
-/// never as passed.
-fn host_flavors() -> impl Iterator<Item = KernelFlavor> {
-    KernelFlavor::ALL.into_iter().filter(|&f| {
-        let runs = f <= host_kernel_flavor();
-        if !runs {
-            eprintln!("kernel flavor {} skipped: this host lacks it", f.name());
-        }
-        runs
-    })
-}
 
 fn cfg(cin: usize, cout: usize, k: usize, s: usize, p: usize) -> ConvCfg {
     ConvCfg { in_channels: cin, out_channels: cout, kernel: k, stride: s, padding: p }
@@ -220,22 +209,21 @@ fn check(c: ConvCfg, shape: [usize; 4], x: Vec<f32>, wt: Vec<f32>, seed: u64) {
 
     let _knobs = KNOBS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     let saved_threads = kernel_threads();
-    for flavor in host_flavors() {
-        set_kernel_flavor_cap(flavor);
+    for_each_host_flavor(|flavor| {
         for threads in [1usize, 2, 3] {
             set_kernel_threads(threads);
             let ctx = format!("{c:?} input {shape:?} threads={threads} flavor={flavor:?}");
             let f = conv2d_forward(&xt, &wtt, &bt, &c);
             assert_eq!(f.output.shape(), &[bsz, c.out_channels, ho, wo], "{ctx}");
             assert_eq!(bits(f.output.data()), bits(&want.out), "forward: {ctx}");
-            let g = conv2d_backward(&gt, &f.padded, &wtt, &shape, &c);
-            assert_eq!(bits(g.gw.data()), bits(&want.gw), "weight grad: {ctx}");
-            assert_eq!(bits(g.gb.data()), bits(&want.gb), "bias grad: {ctx}");
-            assert_eq!(g.gx.shape(), &shape, "{ctx}");
-            assert_eq!(bits(g.gx.data()), bits(&want.gx), "input grad: {ctx}");
+            let (gw, gb) = conv2d_weight_grads(&gt, &f.padded, &c);
+            let gx = conv2d_input_grad(&gt, &wtt, &shape, &c);
+            assert_eq!(bits(gw.data()), bits(&want.gw), "weight grad: {ctx}");
+            assert_eq!(bits(gb.data()), bits(&want.gb), "bias grad: {ctx}");
+            assert_eq!(gx.shape(), &shape, "{ctx}");
+            assert_eq!(bits(gx.data()), bits(&want.gx), "input grad: {ctx}");
         }
-    }
-    set_kernel_flavor_cap(KernelFlavor::Avx512);
+    });
     set_kernel_threads(saved_threads);
 }
 

@@ -29,11 +29,14 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
+use common::for_each_host_flavor;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use vc_nn::ops::conv::{conv2d_backward, conv2d_forward};
-use vc_nn::ops::gemm::{self, host_kernel_flavor, KernelFlavor};
+use vc_nn::ops::conv::{conv2d_forward, conv2d_input_grad, conv2d_weight_grads};
+use vc_nn::ops::gemm;
 use vc_nn::prelude::*;
 
 static KNOBS: Mutex<()> = Mutex::new(());
@@ -41,18 +44,6 @@ static KNOBS: Mutex<()> = Mutex::new(());
 /// Serializes the tests of this binary (see the module docs).
 fn knobs() -> MutexGuard<'static, ()> {
     KNOBS.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The kernel flavors this host runs; the others are reported as skipped,
-/// never as passed.
-fn host_flavors() -> impl Iterator<Item = KernelFlavor> {
-    KernelFlavor::ALL.into_iter().filter(|&f| {
-        let runs = f <= host_kernel_flavor();
-        if !runs {
-            eprintln!("kernel flavor {} skipped: this host lacks it", f.name());
-        }
-        runs
-    })
 }
 
 fn tensor2(rng: &mut StdRng, rows: usize, cols: usize) -> Tensor {
@@ -229,16 +220,14 @@ fn gemm_nt_matches_naive_at_ppo_backward_shapes() {
         gemm::transpose_into(bt.data(), n, k, &mut b_mat);
         let mut want = vec![0.0f32; m * n];
         gemm::matmul_naive(a.data(), &b_mat, &mut want, m, k, n);
-        for flavor in host_flavors() {
-            gemm::set_kernel_flavor_cap(flavor);
+        for_each_host_flavor(|flavor| {
             for threads in [1usize, 2] {
                 let mut got = vec![f32::NAN; m * n];
                 gemm::gemm_nt(a.data(), bt.data(), &mut got, m, k, n, threads);
                 let ctx = format!("m={m} k={k} n={n} flavor={flavor:?} threads={threads}");
                 assert_eq!(bits(&got), bits(&want), "{ctx}");
             }
-        }
-        gemm::set_kernel_flavor_cap(KernelFlavor::Avx512);
+        });
         if m > 0 && k > 0 && n > 0 {
             assert_eq!(bits(a.matmul_nt(&bt).data()), bits(&want), "matmul_nt m={m} k={k} n={n}");
         }
@@ -277,13 +266,11 @@ fn check_panels_against_gemm(a: &[f32], b: &[f32], m: usize, k: usize, n: usize)
     let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
     let mut want = vec![0.0f32; m * n];
     gemm::gemm(a, b, &mut want, m, k, n, 1);
-    for flavor in host_flavors() {
-        gemm::set_kernel_flavor_cap(flavor);
+    for_each_host_flavor(|flavor| {
         let mut got = vec![f32::NAN; m * n];
         gemm::gemm_with_a_panels(pack_block(a, k), b, &mut got, m, k, n);
-        gemm::set_kernel_flavor_cap(KernelFlavor::Avx512);
         assert_eq!(bits(&got), bits(&want), "m={m} k={k} n={n} flavor={flavor:?}");
-    }
+    });
 }
 
 #[test]
@@ -364,8 +351,7 @@ fn check_tn_against_gemm(at: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     gemm::transpose_into(at, k, m, &mut a);
     let mut want = vec![0.0f32; m * n];
     gemm::gemm(&a, b, &mut want, m, k, n, 1);
-    for flavor in host_flavors() {
-        gemm::set_kernel_flavor_cap(flavor);
+    for_each_host_flavor(|flavor| {
         let mut got = vec![f32::NAN; m * n];
         gemm::gemm_tn(at, b, &mut got, m, k, n);
         assert_eq!(bits(&got), bits(&want), "m={m} k={k} n={n} flavor={flavor:?}");
@@ -373,8 +359,7 @@ fn check_tn_against_gemm(at: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
             .matmul_tn(&Tensor::from_vec(&[k, n], b.to_vec()));
         assert_eq!(t.shape(), &[m, n]);
         assert_eq!(bits(t.data()), bits(&want), "matmul_tn m={m} k={k} n={n} flavor={flavor:?}");
-    }
-    gemm::set_kernel_flavor_cap(KernelFlavor::Avx512);
+    });
 }
 
 #[test]
@@ -429,10 +414,11 @@ fn conv_forward_and_backward_tally_the_three_products() {
     let before = gemm::kernel_counters();
     let f = conv2d_forward(&x, &w, &b, &cfg);
     let gout = Tensor::ones(f.output.shape());
-    let g = conv2d_backward(&gout, &f.padded, &w, x.shape(), &cfg);
+    conv2d_weight_grads(&gout, &f.padded, &cfg);
+    let gx = conv2d_input_grad(&gout, &w, x.shape(), &cfg);
     let after = gemm::kernel_counters();
     gemm::set_kernel_telemetry(false);
-    assert_eq!(g.gx.shape(), x.shape());
+    assert_eq!(gx.shape(), x.shape());
 
     let (pixels, patch, co) = (5 * 8 * 8u64, 27u64, 8u64);
     assert_eq!(after.gemm_calls - before.gemm_calls, 3);

@@ -11,21 +11,10 @@
 //! output, and the padded lanes themselves are never written back.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use vc_nn::ops::gemm::{
-    gemm, host_kernel_flavor, matmul_naive, set_kernel_flavor_cap, KernelFlavor,
-};
+mod common;
 
-/// The kernel flavors this host runs; the others are reported as skipped,
-/// never as passed.
-fn host_flavors() -> impl Iterator<Item = KernelFlavor> {
-    KernelFlavor::ALL.into_iter().filter(|&f| {
-        let runs = f <= host_kernel_flavor();
-        if !runs {
-            eprintln!("kernel flavor {} skipped: this host lacks it", f.name());
-        }
-        runs
-    })
-}
+use common::for_each_host_flavor;
+use vc_nn::ops::gemm::{gemm, matmul_naive};
 
 fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
@@ -36,15 +25,13 @@ fn bits(v: &[f32]) -> Vec<u32> {
 fn check_against_naive(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     let mut want = vec![0.0f32; m * n];
     matmul_naive(a, b, &mut want, m, k, n);
-    for flavor in host_flavors() {
-        set_kernel_flavor_cap(flavor);
+    for_each_host_flavor(|flavor| {
         for threads in [1usize, 4] {
             let mut got = vec![0.0f32; m * n];
             gemm(a, b, &mut got, m, k, n, threads);
             assert_eq!(bits(&got), bits(&want), "{m}x{k}x{n} threads={threads} flavor={flavor:?}");
         }
-    }
-    set_kernel_flavor_cap(KernelFlavor::Avx512);
+    });
 }
 
 #[test]

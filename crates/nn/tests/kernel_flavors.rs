@@ -16,8 +16,11 @@
 //! skipped on stderr, never run as another flavor and counted as passed.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
+use common::for_each_host_flavor;
 use std::sync::{Mutex, MutexGuard, PoisonError};
-use vc_nn::ops::conv::{conv2d_backward, conv2d_forward, ConvCfg};
+use vc_nn::ops::conv::{conv2d_forward, conv2d_input_grad, conv2d_weight_grads, ConvCfg};
 use vc_nn::ops::gemm::{
     gemm, gemm_nt, gemm_tn, gemm_with_a_panels, host_kernel_flavor, kernel_flavor,
     set_kernel_flavor_cap, transpose_into, KernelFlavor,
@@ -48,35 +51,18 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
-/// The flavors this host runs, scalar first; the others are reported as
-/// skipped.
-fn host_flavors() -> Vec<KernelFlavor> {
-    KernelFlavor::ALL
-        .into_iter()
-        .filter(|&f| {
-            let runs = f <= host_kernel_flavor();
-            if !runs {
-                eprintln!("kernel flavor {} skipped: this host lacks it", f.name());
-            }
-            runs
-        })
-        .collect()
-}
-
 /// Runs `f` under every flavor the host has and asserts that each run's
 /// bits equal the scalar run's.
 fn same_bits_in_every_flavor(ctx: &str, mut f: impl FnMut() -> Vec<f32>) {
     let mut want = None;
-    for flavor in host_flavors() {
-        set_kernel_flavor_cap(flavor);
+    for_each_host_flavor(|flavor| {
         assert_eq!(kernel_flavor(), flavor, "{ctx}: the cap did not select {flavor:?}");
         let got = bits(&f());
         match &want {
             None => want = Some(got),
             Some(want) => assert!(got == *want, "{ctx}: {flavor:?} differs from Scalar"),
         }
-    }
-    set_kernel_flavor_cap(KernelFlavor::Avx512);
+    });
 }
 
 /// A producer for `gemm_with_a_panels` that packs block `[i0, i0 + rows) ×
@@ -236,8 +222,9 @@ fn paper_convs_agree_across_flavors() {
             });
             let padded = conv2d_forward(&x, &w, &b, &c).padded;
             same_bits_in_every_flavor(&format!("{ctx} backward"), || {
-                let grads = conv2d_backward(&g, &padded, &w, &shape, &c);
-                [grads.gw.data(), grads.gb.data(), grads.gx.data()].concat()
+                let (gw, gb) = conv2d_weight_grads(&g, &padded, &c);
+                let gx = conv2d_input_grad(&g, &w, &shape, &c);
+                [gw.data(), gb.data(), gx.data()].concat()
             });
         }
     }

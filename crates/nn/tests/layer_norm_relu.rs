@@ -22,25 +22,15 @@
 //! payload survives.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
+use common::for_each_host_flavor;
 use std::sync::{Mutex, PoisonError};
-use vc_nn::ops::gemm::{host_kernel_flavor, set_kernel_flavor_cap, KernelFlavor};
 use vc_nn::ops::norm::{layer_norm_backward, layer_norm_forward};
 use vc_nn::prelude::*;
 
 /// The flavor cap is process-global; tests in this binary take this lock.
 static KNOBS: Mutex<()> = Mutex::new(());
-
-/// The kernel flavors this host runs; the others are reported as skipped,
-/// never as passed.
-fn host_flavors() -> impl Iterator<Item = KernelFlavor> {
-    KernelFlavor::ALL.into_iter().filter(|&f| {
-        let runs = f <= host_kernel_flavor();
-        if !runs {
-            eprintln!("kernel flavor {} skipped: this host lacks it", f.name());
-        }
-        runs
-    })
-}
 
 const EPS: f32 = 1e-5;
 
@@ -157,8 +147,7 @@ fn inputs(rows: usize, feat: usize, seed: u64) -> [Vec<f32>; 4] {
 #[test]
 fn fused_layer_norm_matches_row_at_a_time_oracle() {
     let _knobs = KNOBS.lock().unwrap_or_else(PoisonError::into_inner);
-    for flavor in host_flavors() {
-        set_kernel_flavor_cap(flavor);
+    for_each_host_flavor(|flavor| {
         for rows in [1usize, 7, 8, 9, 100] {
             for feat in [1usize, 3, 256, 512] {
                 let [x, gout, gamma, beta] = inputs(rows, feat, (rows * 1000 + feat) as u64);
@@ -185,8 +174,7 @@ fn fused_layer_norm_matches_row_at_a_time_oracle() {
                 }
             }
         }
-    }
-    set_kernel_flavor_cap(KernelFlavor::Avx512);
+    });
 }
 
 /// The graph op the trunk uses, `layer_norm_relu` on NCHW items, against the

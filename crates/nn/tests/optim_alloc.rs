@@ -6,39 +6,14 @@
 //! Like `arena_alloc`, the test installs a counting `GlobalAlloc` wrapper;
 //! it has its own test binary so no other test's allocations can land in
 //! the measured rounds.
-#![allow(unsafe_code)]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod counting_alloc;
 
+use counting_alloc::allocs;
 use vc_nn::optim::{Adam, Optimizer};
 use vc_nn::param::ParamStore;
 use vc_nn::tensor::Tensor;
-
-/// Counts every `alloc`/`realloc` hitting the global allocator.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn apply_step_performs_zero_heap_allocations_after_one_round() {
@@ -61,9 +36,9 @@ fn apply_step_performs_zero_heap_allocations_after_one_round() {
     };
     apply(&mut store, &sums[0]);
     for round in 1..=20 {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         apply(&mut store, &sums[round % 2]);
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+        let allocs = allocs() - before;
         assert_eq!(allocs, 0, "apply round {round} allocated {allocs} time(s)");
     }
 }

@@ -12,27 +12,16 @@
 //! accumulation order changed.
 //!
 //! The sweep runs once per kernel flavor the host has
-//! ([`set_kernel_flavor_cap`]): per-lane AVX-512 and AVX2 FMA are
+//! (`set_kernel_flavor_cap`): per-lane AVX-512 and AVX2 FMA are
 //! bit-identical to scalar `f32::mul_add`, so the scalar fallback
 //! (non-x86 / Miri / loom builds) must produce the same bits as the
 //! vectorized paths.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use vc_nn::ops::gemm::{
-    gemm, host_kernel_flavor, matmul_naive, set_kernel_flavor_cap, KernelFlavor, PAR_THRESHOLD,
-};
+mod common;
 
-/// The kernel flavors this host runs; the others are reported as skipped,
-/// never as passed.
-fn host_flavors() -> impl Iterator<Item = KernelFlavor> {
-    KernelFlavor::ALL.into_iter().filter(|&f| {
-        let runs = f <= host_kernel_flavor();
-        if !runs {
-            eprintln!("kernel flavor {} skipped: this host lacks it", f.name());
-        }
-        runs
-    })
-}
+use common::for_each_host_flavor;
+use vc_nn::ops::gemm::{gemm, matmul_naive, PAR_THRESHOLD};
 
 fn lcg_fill(buf: &mut [f32], mut state: u64) {
     for v in buf.iter_mut() {
@@ -55,8 +44,7 @@ fn check_shape(m: usize, k: usize, n: usize) {
     // process-global and tests in this binary run concurrently, but that
     // cannot skew an assertion: whichever kernel actually runs, the bits
     // must match `matmul_naive`.
-    for flavor in host_flavors() {
-        set_kernel_flavor_cap(flavor);
+    for_each_host_flavor(|flavor| {
         for threads in [1usize, 2, 4, 8] {
             let mut pooled = vec![0.0f32; m * n];
             gemm(&a, &b, &mut pooled, m, k, n, threads);
@@ -67,8 +55,7 @@ fn check_shape(m: usize, k: usize, n: usize) {
                  threads={threads}, flavor={flavor:?}"
             );
         }
-    }
-    set_kernel_flavor_cap(KernelFlavor::Avx512);
+    });
 }
 
 #[test]

@@ -18,11 +18,10 @@
 //! buffer and PPO never see which variant produced them.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use vc_nn::prelude::*;
 
 /// Static shape of the actor–critic network.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NetConfig {
     /// Observation grid resolution per axis.
     pub grid: usize,

@@ -11,43 +11,18 @@
 //! `GlobalAlloc` wrapper, warmup, then measure once no thread has
 //! allocated for a while).
 
-#![allow(unsafe_code)]
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+#[path = "../../nn/tests/counting_alloc/mod.rs"]
+mod counting_alloc;
 
+use counting_alloc::{allocs, quiesce};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use vc_env::prelude::*;
 use vc_nn::ops::gemm::set_kernel_threads;
 use vc_nn::prelude::*;
 use vc_rl::prelude::*;
-
-/// Counts every `alloc`/`realloc` hitting the global allocator.
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 const WORKERS: usize = 1000;
 const WARMUP_SLOTS: usize = 5;
@@ -73,20 +48,6 @@ fn config() -> EnvConfig {
     cfg
 }
 
-/// Returns once no thread has allocated for 20 ms, or after 2 s.
-fn quiesce() {
-    let deadline = Instant::now() + Duration::from_secs(2);
-    let mut last = ALLOCS.load(Ordering::Relaxed);
-    while Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(20));
-        let now = ALLOCS.load(Ordering::Relaxed);
-        if now == last {
-            return;
-        }
-        last = now;
-    }
-}
-
 #[test]
 fn warm_fleet_slot_allocates_only_its_returned_sampled_action() {
     set_kernel_threads(1);
@@ -103,11 +64,11 @@ fn warm_fleet_slot_allocates_only_its_returned_sampled_action() {
 
     // One slot; returns the allocations of its sample and of its step.
     let mut slot = |env: &mut CrowdsensingEnv| {
-        let before = ALLOCS.load(Ordering::Relaxed);
+        let before = allocs();
         let sampled = sample_action_fleet(&net, &store, env, opts, &mut rng);
-        let sampled_at = ALLOCS.load(Ordering::Relaxed);
+        let sampled_at = allocs();
         std::hint::black_box(env.step_fleet(&sampled.actions));
-        let stepped_at = ALLOCS.load(Ordering::Relaxed);
+        let stepped_at = allocs();
         (sampled_at - before, stepped_at - sampled_at)
     };
     for _ in 0..WARMUP_SLOTS {

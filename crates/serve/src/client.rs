@@ -1,5 +1,5 @@
 //! A minimal blocking client for the daemon's frame protocol, shared by
-//! the integration tests and the `serve_load` generator.
+//! the integration tests and perfbench's `serve_closed` workload.
 
 use crate::protocol::{
     decode_response, encode_request, read_frame, write_frame, FrameError, Request, Response,

@@ -4,7 +4,7 @@
 //! that many bytes of UTF-8 JSON. The length is capped at
 //! [`MAX_FRAME_BYTES`]; an oversized or unparsable frame is a *client*
 //! error answered with a typed [`WireError`], never a daemon crash. The
-//! same codec serves both directions, so the load generator and tests
+//! same codec serves both directions, so perfbench and the tests
 //! reuse it via [`crate::client`].
 
 use serde::{Deserialize, Serialize};

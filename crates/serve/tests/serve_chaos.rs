@@ -1,15 +1,15 @@
 //! Chaos integration test for the daemon: sustained overload plus injected
 //! faults (malformed frames, oversized frames, wedged clients, corrupt
-//! hot-reloads). The acceptance bar: the daemon never crashes, every
-//! admitted request gets exactly one response or typed rejection, corrupt
-//! reloads roll back, and degraded batches still produce valid greedy
-//! assignments.
+//! hot-reloads), each on its own and all of them during a burst load. The
+//! acceptance bar: the daemon never crashes, every admitted request gets
+//! exactly one response or typed rejection, corrupt reloads roll back, and
+//! degraded batches still produce valid greedy assignments.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use drl_cews::prelude::*;
 use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::sync::{Barrier, OnceLock};
 use std::time::Duration;
 use vc_env::prelude::*;
 use vc_serve::prelude::*;
@@ -196,6 +196,114 @@ fn burst_overload_sheds_typed_and_answers_every_request() {
     // The daemon is still healthy afterwards.
     let mut c = ServeClient::connect_tcp(&addr, Duration::from_secs(5)).unwrap();
     assert!(matches!(c.request(&Request::Ping).unwrap(), Response::Pong));
+    drop(server);
+}
+
+#[test]
+fn faults_during_burst_load_lose_no_request() {
+    let dir = temp_dir("load");
+    let good = write_checkpoint(&dir, "good.v2");
+    let truncated = dir.join("truncated.v2");
+    let bytes = checkpoint_bytes();
+    std::fs::write(&truncated, &bytes[..bytes.len() / 2]).unwrap();
+    // A small queue and a tight SLO: the load may shed or degrade while
+    // the faults land, and every request must still be answered.
+    let cfg = ServeConfig {
+        queue_cap: 8,
+        batch_max: 4,
+        default_deadline: Duration::from_millis(150),
+        slo: Duration::from_millis(10),
+        trip_after: 2,
+        recover_after: 4,
+        read_timeout: Duration::from_millis(500),
+        pop_wait: Duration::from_millis(2),
+        ..ServeConfig::default()
+    };
+    let (server, addr) = start(cfg);
+    let connect = || ServeClient::connect_tcp(&addr, Duration::from_secs(10)).unwrap();
+    const CLIENTS: u64 = 4;
+    const PER_CLIENT: u64 = 25;
+    const ROUNDS: u32 = 3;
+
+    // Two connections that claim a frame and stall through the whole load;
+    // the injectors and the clients connect, then start together.
+    let wedged: Vec<ServeClient> = (0..2)
+        .map(|_| {
+            let mut c = connect();
+            c.wedge().unwrap();
+            c
+        })
+        .collect();
+    let go = Barrier::new(CLIENTS as usize + 2);
+    let (outcomes, (rejected, swapped)) = std::thread::scope(|s| {
+        let reloads = s.spawn(|| {
+            let mut c = connect();
+            go.wait();
+            let (mut rejected, mut swapped) = (0u64, 0u64);
+            for _ in 0..ROUNDS {
+                match c.request(&Request::Reload { path: truncated.display().to_string() }) {
+                    Ok(Response::Reloaded { ok: false, .. }) => rejected += 1,
+                    other => panic!("corrupt reload was not rejected: {other:?}"),
+                }
+                match c.request(&Request::Reload { path: good.display().to_string() }) {
+                    Ok(Response::Reloaded { ok: true, .. }) => swapped += 1,
+                    other => panic!("valid reload did not swap: {other:?}"),
+                }
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            (rejected, swapped)
+        });
+        s.spawn(|| {
+            let mut c = connect();
+            go.wait();
+            for i in 0..ROUNDS {
+                let garbage: &[u8] =
+                    if i % 2 == 0 { b"{\"not\":\"a request\"}" } else { b"\xFF\xFE\x00" };
+                c.send_raw(garbage).unwrap();
+                match c.read_response() {
+                    Ok(Response::Rejected(WireError::BadRequest { .. })) => {}
+                    other => panic!("malformed frame got a non-BadRequest answer: {other:?}"),
+                }
+            }
+        });
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| {
+                let go = &go;
+                s.spawn(move || {
+                    let mut client = connect();
+                    go.wait();
+                    (0..PER_CLIENT)
+                        .map(|i| client.schedule(snapshot(c * 1_000_000 + i, 150)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let outcomes: Vec<_> = clients.into_iter().flat_map(|h| h.join().unwrap()).collect();
+        (outcomes, reloads.join().unwrap())
+    });
+    drop(wedged);
+
+    let (mut served, mut shed) = (0u64, 0u64);
+    let mut internal = Vec::new();
+    let mut lost = Vec::new();
+    for outcome in outcomes {
+        match outcome {
+            Ok(Response::Schedule(_)) => served += 1,
+            Ok(Response::Rejected(
+                WireError::QueueFull { .. } | WireError::DeadlineExceeded { .. },
+            )) => shed += 1,
+            Ok(Response::Rejected(e)) => internal.push(e),
+            other => lost.push(other),
+        }
+    }
+    assert!(lost.is_empty(), "{} requests got no answer: {lost:?}", lost.len());
+    assert_eq!(served + shed + internal.len() as u64, CLIENTS * PER_CLIENT);
+    assert!(internal.is_empty(), "internal errors under load: {internal:?}");
+    assert!(served > 0, "nothing was served under load");
+    assert!(rejected > 0 && swapped > 0, "reloads rejected {rejected}, swapped {swapped}");
+    assert!(server.rollbacks() >= rejected, "rollback counter lost rejections");
+
+    let _ = std::fs::remove_dir_all(&dir);
     drop(server);
 }
 

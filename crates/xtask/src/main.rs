@@ -71,9 +71,9 @@
 //! commit the new fixtures with the change.
 //!
 //! `cargo xtask bench` runs the kernel ladders (`bench_kernels`), which
-//! append to the `BENCH_kernels.json` trajectory at the repo root, then the
-//! `serve_load` daemon chaos bench; `--smoke` runs minimal iterations
-//! against throwaway files under `target/` (the CI `bench-smoke` job).
+//! append to the `BENCH_kernels.json` trajectory at the repo root; `--smoke`
+//! runs minimal iterations against a throwaway file under `target/` (the CI
+//! `bench-smoke` job).
 //! `bench_kernels` gates its own run: the blocked 256³ GEMM on one thread
 //! must reach 2× the naive kernel's GFLOP/s measured in the same process,
 //! or it exits non-zero. Nothing here compares against a committed number.
@@ -168,8 +168,7 @@ fn main() -> ExitCode {
                  and tests/fixtures/golden_trace_<family>.json from the\n          \
                  current code\n  \
                  bench   kernel ladders -> BENCH_kernels.json, gated in-run\n          \
-                 (blocked 256^3 GEMM >= 2x naive), then the serve_load\n          \
-                 daemon chaos bench -> BENCH_serve.json\n          \
+                 (blocked 256^3 GEMM >= 2x naive)\n          \
                  (--smoke: minimal iterations into target/)\n  \
                  analyze dynamic concurrency analyses; flags select a\n          \
                  subset: --loom (model checking, stable), --tsan\n          \
@@ -431,61 +430,28 @@ fn check_integration_tests(root: &Path) -> bool {
     ok
 }
 
-/// Runs the kernel-ladder benchmark, then the `serve_load` daemon
-/// load/fault-injection benchmark. Each binary enforces its own gate and
-/// exits non-zero on a violation: `bench_kernels` validates the trajectory
-/// it writes and gates the run against itself, and `serve_load` checks that
-/// every request is answered and every corrupt reload rejected. The serving
-/// trajectory's keys are then checked here.
+/// Runs the kernel-ladder benchmark, which validates the trajectory it
+/// writes and gates the run against itself, exiting non-zero on a
+/// violation. Smoke mode writes a throwaway `BENCH_kernels.smoke.json`
+/// under `target/`, started afresh each run; a full run appends to
+/// `BENCH_kernels.json` at the repo root.
 fn run_bench(root: &Path, smoke: bool) -> bool {
-    run_bench_bin(root, "bench_kernels", "BENCH_kernels", smoke).is_some()
-        && run_bench_bin(root, "serve_load", "BENCH_serve", smoke)
-            .is_some_and(|out| validate_serve_artifact(&out))
-}
-
-/// Runs one vc-bench binary and returns the trajectory it wrote. Smoke mode
-/// writes a throwaway `<stem>.smoke.json` under `target/`, started afresh
-/// each run; a full run appends to `<stem>.json` at the repo root.
-fn run_bench_bin(root: &Path, bin: &str, stem: &str, smoke: bool) -> Option<PathBuf> {
     let out = if smoke {
-        root.join("target").join(format!("{stem}.smoke.json"))
+        root.join("target").join("BENCH_kernels.smoke.json")
     } else {
-        root.join(format!("{stem}.json"))
+        root.join("BENCH_kernels.json")
     };
     if smoke {
         let _ = fs::remove_file(&out);
     }
     let out_str = out.display().to_string();
-    let mut args = vec!["run", "--release", "--package", "vc-bench", "--bin", bin, "--"];
+    let mut args =
+        vec!["run", "--release", "--package", "vc-bench", "--bin", "bench_kernels", "--"];
     if smoke {
         args.push("--smoke");
     }
     args.extend_from_slice(&["--out", &out_str]);
-    run_cargo(root, &args).then_some(out)
-}
-
-/// Structural check of the serving trajectory: a JSON array whose records
-/// carry the latency percentiles and shed rate.
-fn validate_serve_artifact(path: &Path) -> bool {
-    let text = match fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask: serve artifact {} unreadable: {e}", path.display());
-            return false;
-        }
-    };
-    if !text.trim_start().starts_with('[') {
-        eprintln!("xtask: serve artifact {} is not a JSON array", path.display());
-        return false;
-    }
-    for key in ["\"p50_us\"", "\"p99_us\"", "\"shed_rate\"", "\"schema_version\""] {
-        if !text.contains(key) {
-            eprintln!("xtask: serve artifact {} missing key {key}", path.display());
-            return false;
-        }
-    }
-    eprintln!("xtask: serve artifact {} ok ({} bytes)", path.display(), text.len());
-    true
+    run_cargo(root, &args)
 }
 
 /// One custom-lint violation.
